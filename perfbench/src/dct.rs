@@ -4,9 +4,10 @@
 //! the work while the global interconnect idles.
 
 use crate::metrics::{EndToEnd, Layers};
-use crate::report::{median, peak_rss_mb, tail, Outcome};
+use crate::report::{median, peak_rss_mb, Outcome};
 use crate::trace::{
-    quartile_rep_s, run_in_chunks, timed_snitch_cluster, ChunkStats, Chunked, Tracer,
+    position_quantile_s, run_in_chunks, steady_job_ms, timed_snitch_cluster, ChunkStats, Chunked,
+    Tracer,
 };
 use crate::Args;
 use mempool::{Cluster, ClusterConfig, Core, Topology};
@@ -108,22 +109,24 @@ pub fn run(args: &Args) -> Result<(Outcome, Option<Tracer>), String> {
         let (reps, cluster) = untraced(args, &dct, config, args.seconds, &mut o, &mut expected)?;
         let wall = loop_start.elapsed().as_secs_f64();
         let chunks: Vec<Vec<f64>> = reps.iter().map(|r| r.chunks.clone()).collect();
-        let jobs_ms: Vec<f64> = reps.iter().map(|r| r.job_s * 1e3).collect();
-        let (tail_ms, pct) = tail(&jobs_ms);
+        let jobs_s: Vec<f64> = reps.iter().map(|r| r.job_s).collect();
+        let jobs_ms: Vec<f64> = jobs_s.iter().map(|s| s * 1e3).collect();
         let mut e = EndToEnd {
-            sim_cycles_per_s: reps[0].cycles as f64 / quartile_rep_s(&chunks),
+            sim_cycles_per_s: reps[0].cycles as f64 / position_quantile_s(&chunks, 0.25),
             setup_s: median(&reps.iter().map(|r| r.setup_s).collect::<Vec<_>>()),
             peak_rss_mb: peak_rss_mb("self"),
-            job_latency_p50_ms: median(&jobs_ms),
-            job_latency_tail_ms: tail_ms,
+            job_latency_p50_ms: steady_job_ms(&chunks, &jobs_s, 0.5),
+            job_latency_tail_ms: steady_job_ms(&chunks, &jobs_s, 0.75),
             jobs_per_s: reps.len() as f64 / wall,
             ..EndToEnd::default()
         };
         e.simulated(cluster.stats(), reps[0].cycles, config.num_cores());
         e.emit(&mut o);
         o.note(format!(
-            "job_latency_tail_ms is p{pct:.1} over {} kernel runs; digest {:#018x}",
+            "job latencies are per-chunk-position p50 and p75 over {} kernel runs; \
+             whole-run p50 {:.3} ms; digest {:#018x}",
             reps.len(),
+            median(&jobs_ms),
             reps[0].digest
         ));
         o.note(format!(

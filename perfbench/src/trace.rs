@@ -254,20 +254,33 @@ pub fn step_in_chunks<C: Core>(cluster: &mut Cluster<C>, n: u64, times: &mut Vec
 }
 
 /// A steady host time for one repetition of identical work: the sum,
-/// over chunk positions, of the lower quartile of that chunk's time across
+/// over chunk positions, of the `q` quantile of that chunk's time across
 /// repetitions. Contention from other tenants of the host arrives in
 /// bursts that at times slow more than half of a run's chunks, which moves
-/// a median by 20% between runs; the lower quartile of each position keeps
-/// every phase of the work in the total and measures what the simulator
-/// does when it has a core.
-pub fn quartile_rep_s(reps: &[Vec<f64>]) -> f64 {
+/// a median of whole repetitions by 20% between runs. Taking the quantile
+/// per position keeps every phase of the work in the total, and a burst
+/// that hits one stretch of a repetition moves only those positions.
+pub fn position_quantile_s(reps: &[Vec<f64>], q: f64) -> f64 {
     let chunks = reps.iter().map(Vec::len).max().unwrap_or(0);
     (0..chunks)
         .map(|k| {
             let at: Vec<f64> = reps.iter().filter_map(|r| r.get(k).copied()).collect();
-            crate::report::quantile(&at, 0.25)
+            crate::report::quantile(&at, q)
         })
         .sum()
+}
+
+/// The wall time of a job of identical repetitions at quantile `q`, ms:
+/// the median time a job spends outside its chunks (set-up, checks) plus
+/// [`position_quantile_s`] of its chunks. `chunks[i]` and `jobs_s[i]`
+/// belong to job `i`.
+pub fn steady_job_ms(chunks: &[Vec<f64>], jobs_s: &[f64], q: f64) -> f64 {
+    let outside: Vec<f64> = chunks
+        .iter()
+        .zip(jobs_s)
+        .map(|(c, job)| job - c.iter().sum::<f64>())
+        .collect();
+    (crate::report::median(&outside) + position_quantile_s(chunks, q)) * 1e3
 }
 
 /// `Cluster::snitch` with every core wrapped in [`Timed`], with `program`
@@ -377,5 +390,21 @@ impl Chunked<'_> {
                 Err(e) => return Err(e),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn steady_job_takes_quantiles_per_position() {
+        // Job 2 is slowed in its first chunk, job 0 in its second; the
+        // per-position median drops both bursts.
+        let chunks = vec![vec![1.0, 5.0], vec![1.0, 2.0], vec![4.0, 2.0]];
+        let jobs_s = [6.5, 3.5, 6.5];
+        assert_eq!(position_quantile_s(&chunks, 0.5), 3.0);
+        assert_eq!(steady_job_ms(&chunks, &jobs_s, 0.5), 3500.0);
+        assert_eq!(steady_job_ms(&chunks, &jobs_s, 1.0), 9500.0);
     }
 }

@@ -4,9 +4,10 @@
 //! arbitration and elastic buffers work near saturation.
 
 use crate::metrics::{EndToEnd, Layers};
-use crate::report::{median, peak_rss_mb, tail, Outcome};
+use crate::report::{median, peak_rss_mb, Outcome};
 use crate::trace::{
-    quartile_rep_s, run_in_chunks, step_in_chunks, ChunkStats, Chunked, Timed, Tracer,
+    position_quantile_s, run_in_chunks, steady_job_ms, step_in_chunks, ChunkStats, Chunked, Timed,
+    Tracer,
 };
 use crate::Args;
 use mempool::{Cluster, ClusterConfig, Core, CoreLocation, LatencyStats, Topology};
@@ -175,25 +176,27 @@ pub fn run(args: &Args) -> Result<(Outcome, Option<Tracer>), String> {
         let loop_start = Instant::now();
         let reps = plain(&mut o, &mut expected, args.seconds)?;
         let wall = loop_start.elapsed().as_secs_f64();
-        let jobs_ms: Vec<f64> = reps.iter().map(|r| r.job_s * 1e3).collect();
-        let (tail_ms, pct) = tail(&jobs_ms);
+        let jobs_s: Vec<f64> = reps.iter().map(|r| r.job_s).collect();
+        let jobs_ms: Vec<f64> = jobs_s.iter().map(|s| s * 1e3).collect();
         let first = &reps[0].point;
         let chunks: Vec<Vec<f64>> = reps.iter().map(|r| r.chunks.clone()).collect();
         let e = EndToEnd {
-            sim_cycles_per_s: first.cycles as f64 / quartile_rep_s(&chunks),
+            sim_cycles_per_s: first.cycles as f64 / position_quantile_s(&chunks, 0.25),
             setup_s: median(&reps.iter().map(|r| r.setup_s).collect::<Vec<_>>()),
             peak_rss_mb: peak_rss_mb("self"),
             sim_cycles: first.cycles as f64,
             sim_avg_latency_cycles: first.latency.mean(),
             sim_throughput: first.throughput,
-            job_latency_p50_ms: median(&jobs_ms),
-            job_latency_tail_ms: tail_ms,
+            job_latency_p50_ms: steady_job_ms(&chunks, &jobs_s, 0.5),
+            job_latency_tail_ms: steady_job_ms(&chunks, &jobs_s, 0.75),
             jobs_per_s: reps.len() as f64 / wall,
         };
         e.emit(&mut o);
         o.note(format!(
-            "job_latency_tail_ms is p{pct:.1} over {} traffic points; digest {:#018x}",
+            "job latencies are per-chunk-position p50 and p75 over {} traffic points; \
+             whole-run p50 {:.3} ms; digest {:#018x}",
             reps.len(),
+            median(&jobs_ms),
             first.digest
         ));
         o.note(format!(
