@@ -7,7 +7,6 @@ use crate::faults::{
 };
 use crate::sanitize::{Sanitizer, SanitizerConfig, SanitizerReport};
 use crate::net::{LinkRef, Net};
-use crate::par::{SyncPtr, WorkerPool};
 use crate::tile::{BankGate, ProgramImage, Tile};
 use crate::{
     ClusterConfig, ClusterStats, Core, FaultStats, RefillNetwork, Request, Response, Topology,
@@ -104,60 +103,6 @@ impl RefillRing {
             }
         }
     }
-}
-
-/// Per-tile staging buffer for the parallel core phase: everything the
-/// serial core loop would have written to shared cluster state, in the
-/// order it would have written it. The commit phase merges the stages in
-/// ascending tile index, which reproduces the serial core order exactly
-/// (cores are numbered tile-major).
-#[derive(Default)]
-struct CoreStage {
-    memory_faults: u64,
-    local_requests: u64,
-    remote_requests: u64,
-    group_local_requests: u64,
-    direction_requests: [u64; 3],
-    requests_issued: u64,
-    in_flight: u64,
-    core_lockups: u64,
-    spurious_retires: u64,
-    quarantine_remaps: u64,
-    log: Vec<FaultEvent>,
-    pending: Vec<((u32, u8), PendingRequest)>,
-    trace: Vec<(usize, crate::TraceEvent)>,
-}
-
-impl CoreStage {
-    fn clear(&mut self) {
-        self.memory_faults = 0;
-        self.local_requests = 0;
-        self.remote_requests = 0;
-        self.group_local_requests = 0;
-        self.direction_requests = [0; 3];
-        self.requests_issued = 0;
-        self.in_flight = 0;
-        self.core_lockups = 0;
-        self.spurious_retires = 0;
-        self.quarantine_remaps = 0;
-        self.log.clear();
-        self.pending.clear();
-        self.trace.clear();
-    }
-}
-
-/// The tile-parallel execution engine: a persistent worker pool plus
-/// reusable per-tile staging buffers. Pure execution-strategy state — it
-/// carries no architectural state, is excluded from snapshots and the
-/// state digest, and can be attached or detached between any two cycles
-/// without observable effect.
-pub(crate) struct ParEngine {
-    pool: WorkerPool,
-    core_stages: Vec<CoreStage>,
-    resp_stages: Vec<Vec<Response>>,
-    /// Per-tile (bank accesses served, requests dropped) of the request
-    /// phase.
-    accept_stages: Vec<(u64, u64)>,
 }
 
 /// Error returned by [`Cluster::run`] when the program does not finish
@@ -265,9 +210,6 @@ pub struct Cluster<C> {
     /// Watchdog: last cycle the progress signature changed, and its value.
     pub(crate) last_progress: u64,
     pub(crate) progress_mark: u64,
-    /// Tile-parallel execution engine (`None` = serial). Pure strategy
-    /// state: never snapshotted, never digested.
-    pub(crate) engine: Option<ParEngine>,
     /// Cycle-level invariant sanitizer (`None` = disabled). Pure checking:
     /// never snapshotted, never digested, never perturbs results.
     pub(crate) sanitizer: Option<Box<Sanitizer>>,
@@ -280,8 +222,8 @@ pub struct Cluster<C> {
 
 /// Test-only delivery mutations used to prove the sanitizer detects the
 /// failure modes it claims to: dropping, duplicating, and delaying
-/// responses, applied at the head of the (engine-independent, serial)
-/// delivery drain. Inert unless armed through the `debug_*` hooks.
+/// responses, applied at the head of the delivery drain. Inert unless
+/// armed through the `debug_*` hooks.
 #[derive(Debug, Default)]
 pub(crate) struct DebugMutations {
     drop_next: bool,
@@ -376,7 +318,6 @@ impl<C: Core> Cluster<C> {
             locked_until: vec![0; config.num_cores()],
             last_progress: 0,
             progress_mark: 0,
-            engine: None,
             sanitizer: None,
             cancel: None,
             debug_mut: DebugMutations::default(),
@@ -459,12 +400,6 @@ impl<C: Core> Cluster<C> {
         self.faults = plan;
     }
 
-    /// Deprecated alias of [`install_fault_plan`](Cluster::install_fault_plan).
-    #[deprecated(since = "0.4.0", note = "use `install_fault_plan` (or `SimSession::builder`)")]
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.install_fault_plan(plan);
-    }
-
     /// The active fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_ref()
@@ -478,47 +413,6 @@ impl<C: Core> Cluster<C> {
     /// Number of banks currently quarantined (dead, traffic remapped).
     pub fn quarantined_banks(&self) -> usize {
         self.quarantine.quarantined_banks()
-    }
-
-    /// Selects the execution engine: `0` steps the cluster serially (the
-    /// default), any `workers >= 1` steps it with the tile-parallel engine
-    /// using `workers` total participating threads (the calling thread
-    /// plus `workers - 1` persistent pool threads, capped at the tile
-    /// count — more threads than tiles cannot help).
-    ///
-    /// The engine is an execution strategy, not architectural state: the
-    /// parallel engine is bit-identical to the serial one (same
-    /// [`state_digest`](Cluster::state_digest) after any number of cycles,
-    /// any topology, any fault plan, any worker count), it is excluded
-    /// from snapshots, and it can be switched at any cycle boundary.
-    /// `set_workers(1)` exercises the full staging/merge machinery on the
-    /// calling thread alone — useful for debugging the staged path.
-    pub fn set_workers(&mut self, workers: usize) {
-        if workers == 0 {
-            self.engine = None;
-            return;
-        }
-        let num_tiles = self.config.num_tiles;
-        let pool_threads = (workers - 1).min(num_tiles.saturating_sub(1));
-        self.engine = Some(ParEngine {
-            pool: WorkerPool::new(pool_threads),
-            core_stages: (0..num_tiles).map(|_| CoreStage::default()).collect(),
-            resp_stages: vec![Vec::new(); num_tiles],
-            accept_stages: vec![(0, 0); num_tiles],
-        });
-    }
-
-    /// Deprecated alias of [`set_workers`](Cluster::set_workers).
-    #[deprecated(since = "0.4.0", note = "use `set_workers` (or `SimSession::builder`)")]
-    pub fn set_parallel(&mut self, workers: usize) {
-        self.set_workers(workers);
-    }
-
-    /// The effective parallelism: `0` when stepping serially, otherwise
-    /// the number of threads participating in each cycle (calling thread
-    /// included).
-    pub fn parallelism(&self) -> usize {
-        self.engine.as_ref().map_or(0, |e| e.pool.threads() + 1)
     }
 
     /// Whether per-request bookkeeping (the retry layer's pending map) is
@@ -598,12 +492,6 @@ impl<C: Core> Cluster<C> {
         self.trace = Some(crate::MemoryTrace::new(self.config.num_cores()));
     }
 
-    /// Deprecated alias of [`begin_trace`](Cluster::begin_trace).
-    #[deprecated(since = "0.4.0", note = "use `begin_trace` (or `SimSession::builder`)")]
-    pub fn start_trace(&mut self) {
-        self.begin_trace();
-    }
-
     /// Stops recording and returns the captured trace (`None` when tracing
     /// was never started).
     pub fn take_trace(&mut self) -> Option<crate::MemoryTrace> {
@@ -616,8 +504,7 @@ impl<C: Core> Cluster<C> {
     /// pays nothing for it.
     ///
     /// Once enabled, the recorder's contents are architectural state:
-    /// included in snapshots and the [`state_digest`](Cluster::state_digest),
-    /// and bit-identical between the serial and tile-parallel engines.
+    /// included in snapshots and the [`state_digest`](Cluster::state_digest).
     pub fn enable_observability(&mut self, config: crate::obs::ObsConfig) {
         self.obs = Some(Box::new(crate::obs::Obs::new(
             config,
@@ -646,8 +533,7 @@ impl<C: Core> Cluster<C> {
     ///
     /// Once enabled, all profiler state is architectural: included in
     /// snapshots (the `profile` component) and the
-    /// [`state_digest`](Cluster::state_digest), and bit-identical between
-    /// the serial and tile-parallel engines.
+    /// [`state_digest`](Cluster::state_digest).
     pub fn enable_profiling(&mut self, config: crate::ProfileConfig) {
         let mut p = crate::profile::Profiler::new(config, self.config.num_tiles);
         p.window_start = self.now;
@@ -1183,27 +1069,10 @@ impl<C: Core> Cluster<C> {
 
     /// Advances the whole cluster by one clock cycle.
     ///
-    /// With [`set_workers`](Cluster::set_workers) active, the tile-local
-    /// phases (I-cache refill ports, tile response crossbars, the core
-    /// phase, tile request crossbars + bank accesses) fan out over the
-    /// worker pool into per-tile staging buffers and are merged back in
-    /// ascending tile order; the cross-tile phases (fault application, the
-    /// refill ring, long-haul networks, response delivery, the retry
-    /// layer) stay serial. Either engine produces bit-identical state.
+    /// The phases run in a fixed order and visit tiles and cores in
+    /// ascending index order; the state digest depends on that order
+    /// (fault log, pending map, trace and delivery sequence).
     pub fn cycle(&mut self) {
-        // The engine is taken out for the duration of the step so the
-        // parallel path can borrow it and `&mut self` disjointly.
-        match self.engine.take() {
-            None => self.cycle_serial(),
-            Some(mut engine) => {
-                self.cycle_parallel(&mut engine);
-                self.engine = Some(engine);
-            }
-        }
-    }
-
-    /// One cycle on the single-threaded reference engine.
-    fn cycle_serial(&mut self) {
         self.now += 1;
         let now = self.now;
         let cpt = self.config.cores_per_tile;
@@ -1413,8 +1282,7 @@ impl<C: Core> Cluster<C> {
     }
 
     /// Completes the response phase: delivers this cycle's responses to
-    /// their cores in staging order (which both engines arrange to be the
-    /// canonical ascending-tile order).
+    /// their cores in staging order (the canonical ascending-tile order).
     fn drain_deliveries(&mut self, now: u64, track: bool) {
         if self.debug_mut.active() {
             self.apply_debug_mutations(now, track);
@@ -1452,10 +1320,9 @@ impl<C: Core> Cluster<C> {
         }
     }
 
-    /// Shared end-of-cycle bookkeeping: network commit, derived statistics
-    /// and the watchdog progress signature. (Tile commits happen earlier
-    /// and per-engine: serially in `cycle_serial`, fused into the parallel
-    /// request phase in `cycle_parallel`.)
+    /// End-of-cycle bookkeeping: network commit, derived statistics
+    /// and the watchdog progress signature. (Tile commits happen earlier,
+    /// at the end of the request phase.)
     fn finish_cycle(&mut self, now: u64) {
         self.net.commit();
         self.stats.icache_refills = self.tiles.iter().map(Tile::refills).sum();
@@ -1464,8 +1331,7 @@ impl<C: Core> Cluster<C> {
         self.stats.net_register_slots = total;
         self.stats.cycles += 1;
 
-        // Power-window sampling: both engines call finish_cycle serially,
-        // so the window series is engine-independent by construction.
+        // Power-window sampling.
         if self
             .profiler
             .as_ref()
@@ -1494,16 +1360,15 @@ impl<C: Core> Cluster<C> {
             self.last_progress = now;
         }
 
-        // Invariant sanitizer: per-cycle structural checks run serially
-        // under both engines, so reports are engine-independent.
+        // Invariant sanitizer: per-cycle structural checks.
         if self.sanitizer.is_some() {
             self.sanitize_cycle(now);
         }
     }
 
     /// Sanitizer issue scan: records every latch freshly (re-)issued this
-    /// cycle. Runs between the core phase and the request phase under both
-    /// engines, before same-cycle local accepts consume the latches.
+    /// cycle. Runs between the core phase and the request phase, before
+    /// same-cycle local accepts consume the latches.
     fn sanitize_issues(&mut self, now: u64) {
         let faults_active = self.faults.is_some();
         let map = self.map;
@@ -1589,300 +1454,6 @@ impl<C: Core> Cluster<C> {
                 self.debug_mut.held.push((now + cycles, resp));
             }
         }
-    }
-
-    /// One cycle on the tile-parallel engine: the same phase sequence as
-    /// [`cycle_serial`](Cluster::cycle_serial), with every tile-local
-    /// phase fanned over the worker pool into per-tile staging buffers
-    /// that are merged back in ascending tile order. Cores are numbered
-    /// tile-major, so the merge reproduces the serial engine's write order
-    /// exactly — the two engines are bit-identical by construction (and
-    /// pinned by differential tests over `state_digest`).
-    fn cycle_parallel(&mut self, engine: &mut ParEngine) {
-        let ParEngine {
-            pool,
-            core_stages,
-            resp_stages,
-            accept_stages,
-        } = engine;
-        self.now += 1;
-        let now = self.now;
-        let cpt = self.config.cores_per_tile;
-        let num_tiles = self.config.num_tiles;
-        let track = self.track_pending();
-
-        // 0. Fault application: inherently cross-tile (quarantine map,
-        //    link registers), stays serial.
-        if self.faults.is_some() || self.next_failure < self.pending_failures.len() {
-            self.apply_faults(now);
-        }
-
-        // 1. I-cache refill transport. The fixed-latency ports are
-        //    tile-local; the ring is one shared structure and stays serial.
-        match &mut self.refill_ring {
-            None => {
-                let tiles = SyncPtr::new(self.tiles.as_mut_ptr());
-                pool.run(num_tiles, &|t| {
-                    // SAFETY: tile `t` only; tiles are disjoint per index.
-                    let tile = unsafe { &mut *tiles.at(t) };
-                    tile.refill_tick(now);
-                });
-            }
-            Some(ring) => ring.cycle(
-                &mut self.tiles,
-                now,
-                self.faults.as_ref(),
-                &mut self.stats.faults,
-            ),
-        }
-
-        // 2. Response phase. Master-response delivery reads the shared
-        //    net; the per-tile response crossbars stage their local
-        //    deliveries per tile and the merge appends them in ascending
-        //    tile order — the exact serial order.
-        self.deliveries.clear();
-        self.net
-            .deliver_master_resp(&mut self.tiles, &mut self.deliveries);
-        if !matches!(self.config.topology, Topology::Ideal) {
-            {
-                let net = &self.net;
-                let tiles = SyncPtr::new(self.tiles.as_mut_ptr());
-                let stages = SyncPtr::new(resp_stages.as_mut_ptr());
-                pool.run(num_tiles, &|t| {
-                    // SAFETY: tile `t` and staging slot `t` only.
-                    let tile = unsafe { &mut *tiles.at(t) };
-                    let stage = unsafe { &mut *stages.at(t) };
-                    stage.clear();
-                    let port_for = |resp: &Response| net.resp_port_for(t, resp, cpt);
-                    tile.route_responses(t, cpt, stage, &port_for);
-                });
-            }
-            for stage in resp_stages.iter_mut() {
-                self.deliveries.append(stage);
-            }
-            self.net.route_responses(&mut self.tiles, cpt);
-        }
-        self.drain_deliveries(now, track);
-
-        // 2b. Retry layer: serial (ordered walk of the shared pending map).
-        if self.config.resilience.retries_enabled() && !self.pending.is_empty() {
-            self.retry_overdue(now);
-        }
-
-        // 3. Core phase: each tile steps its own cores against its own
-        //    I-cache and output latches; cluster-global side effects
-        //    (stats, fault log, pending map, trace) go to the tile's
-        //    staging buffer.
-        {
-            let cores = SyncPtr::new(self.cores.as_mut_ptr());
-            let tiles = SyncPtr::new(self.tiles.as_mut_ptr());
-            let latches = SyncPtr::new(self.out_latches.as_mut_ptr());
-            let locked = SyncPtr::new(self.locked_until.as_mut_ptr());
-            let stages = SyncPtr::new(core_stages.as_mut_ptr());
-            let faults = self.faults.as_ref();
-            let scrambler = self.scrambler;
-            let map = self.map;
-            let quarantine = &self.quarantine;
-            let image = &self.image;
-            let topology = self.config.topology;
-            let tpg = self.config.tiles_per_group();
-            let trace_on = self.trace.is_some();
-            pool.run(num_tiles, &|t| {
-                // SAFETY: tile `t`, its staging slot, and the per-core
-                // arrays at this tile's lanes `t*cpt..(t+1)*cpt` only.
-                let tile = unsafe { &mut *tiles.at(t) };
-                let stage = unsafe { &mut *stages.at(t) };
-                stage.clear();
-                for lane in 0..cpt {
-                    let c = t * cpt + lane;
-                    let core = unsafe { &mut *cores.at(c) };
-                    let latch = unsafe { &mut *latches.at(c) };
-                    let locked_until = unsafe { &mut *locked.at(c) };
-                    if now < *locked_until {
-                        continue;
-                    }
-                    if let Some(plan) = faults {
-                        if let Some(len) = plan.core_lockup(now, c as u32) {
-                            *locked_until = now + len;
-                            stage.core_lockups += 1;
-                            stage.log.push(FaultEvent::CoreLocked {
-                                cycle: now,
-                                core: c as u32,
-                                until: now + len,
-                            });
-                            continue;
-                        }
-                        if plan.spurious_retire(now, c as u32) && !core.done() {
-                            core.spurious_retire();
-                            stage.spurious_retires += 1;
-                            continue;
-                        }
-                    }
-                    let ready = latch.is_none();
-                    let issued = core.step(&mut |pc| tile.fetch(pc, image, now), ready);
-                    if let Some(dr) = issued {
-                        debug_assert!(ready, "core issued against backpressure");
-                        let mut phys = scrambler.map_or(dr.addr, |s| s.scramble(dr.addr));
-                        let Some(mut at) = map.decode(phys) else {
-                            stage.memory_faults += 1;
-                            core.fault();
-                            continue;
-                        };
-                        if !quarantine.is_identity() {
-                            let remapped = quarantine.remap(at);
-                            if remapped.bank != at.bank {
-                                stage.quarantine_remaps += 1;
-                                at = remapped;
-                                phys = map.encode(at);
-                            }
-                        }
-                        if at.tile as usize == t {
-                            stage.local_requests += 1;
-                        } else {
-                            stage.remote_requests += 1;
-                            if topology == Topology::TopH {
-                                let gs = t / tpg;
-                                let gd = at.tile as usize / tpg;
-                                match gs ^ gd {
-                                    0 => stage.group_local_requests += 1,
-                                    2 => stage.direction_requests[0] += 1, // N
-                                    3 => stage.direction_requests[1] += 1, // NE
-                                    1 => stage.direction_requests[2] += 1, // E
-                                    _ => unreachable!("four groups"),
-                                }
-                            }
-                        }
-                        stage.requests_issued += 1;
-                        stage.in_flight += 1;
-                        if trace_on {
-                            stage.trace.push((
-                                c,
-                                crate::TraceEvent {
-                                    cycle: now,
-                                    addr: dr.addr,
-                                    write: dr.kind.is_write(),
-                                },
-                            ));
-                        }
-                        if track {
-                            stage.pending.push((
-                                (c as u32, dr.tag),
-                                PendingRequest {
-                                    addr: phys,
-                                    kind: dr.kind,
-                                    issued_at: now,
-                                    last_sent: now,
-                                    retries: 0,
-                                },
-                            ));
-                        }
-                        *latch = Some(Request {
-                            core: c as u32,
-                            tag: dr.tag,
-                            addr: phys,
-                            kind: dr.kind,
-                            issued_at: now,
-                        });
-                    }
-                }
-            });
-        }
-        // Commit the core phase in ascending tile order = serial core
-        // order (tile-major numbering).
-        for stage in core_stages.iter_mut() {
-            self.stats.memory_faults += stage.memory_faults;
-            self.stats.local_requests += stage.local_requests;
-            self.stats.remote_requests += stage.remote_requests;
-            self.stats.group_local_requests += stage.group_local_requests;
-            for (d, &n) in stage.direction_requests.iter().enumerate() {
-                self.stats.direction_requests[d] += n;
-            }
-            self.stats.requests_issued += stage.requests_issued;
-            self.in_flight += stage.in_flight;
-            self.stats.faults.core_lockups += stage.core_lockups;
-            self.stats.faults.spurious_retires += stage.spurious_retires;
-            self.stats.faults.quarantine_remaps += stage.quarantine_remaps;
-            for event in stage.log.drain(..) {
-                self.fault_log.record(event);
-            }
-            for (key, p) in stage.pending.drain(..) {
-                self.pending.insert(key, p);
-            }
-            if let Some(trace) = &mut self.trace {
-                for (c, ev) in stage.trace.drain(..) {
-                    trace.record(c, ev);
-                }
-            }
-        }
-
-        // 3b. Sanitizer issue scan: serial, after the core-phase merge and
-        //     before the request phase consumes the latches — the same
-        //     point as the serial engine, so reports are engine-independent.
-        if self.sanitizer.is_some() {
-            self.sanitize_issues(now);
-        }
-
-        // 4. Request phase. The ideal crossbar arbitrates globally and
-        //    stays serial; the real topologies resolve each tile's request
-        //    crossbar independently. The tile commit is fused in (sound:
-        //    the following port routing touches only latches and the net,
-        //    never tile state).
-        let quarantine = &self.quarantine;
-        let faults = self.faults.as_ref();
-        let gate = move |tile: usize, bank: u32| -> BankGate {
-            if quarantine.is_quarantined(tile as u32, bank) {
-                return BankGate::Dead;
-            }
-            if let Some(plan) = faults {
-                if plan.bank_stalled(now, tile as u32, bank) {
-                    return BankGate::Stalled;
-                }
-            }
-            BankGate::Ready
-        };
-        if let Net::Ideal(ideal) = &mut self.net {
-            self.stats.bank_accesses += ideal.route_requests(
-                &mut self.out_latches,
-                &mut self.tiles,
-                &self.map,
-                &mut self.stats.tile_accesses,
-                &gate,
-                &mut self.stats.faults.requests_dropped,
-            );
-            for tile in &mut self.tiles {
-                tile.commit();
-            }
-        } else {
-            self.net.route_longhaul_requests(&mut self.tiles, &self.map);
-            {
-                let map = self.map;
-                let tiles = SyncPtr::new(self.tiles.as_mut_ptr());
-                let latches = SyncPtr::new(self.out_latches.as_mut_ptr());
-                let accepts = SyncPtr::new(accept_stages.as_mut_ptr());
-                let gate = &gate;
-                pool.run(num_tiles, &|t| {
-                    // SAFETY: tile `t`, its staging slot, and this tile's
-                    // core latches `t*cpt..(t+1)*cpt` only.
-                    let tile = unsafe { &mut *tiles.at(t) };
-                    let lanes =
-                        unsafe { std::slice::from_raw_parts_mut(latches.at(t * cpt), cpt) };
-                    let tile_gate = |bank: u32| gate(t, bank);
-                    let mut dropped = 0u64;
-                    let served = tile.accept_requests(t, lanes, &map, now, &tile_gate, &mut dropped);
-                    tile.commit();
-                    unsafe { *accepts.at(t) = (served, dropped) };
-                });
-            }
-            for (t, &(served, dropped)) in accept_stages.iter().enumerate() {
-                self.stats.bank_accesses += served;
-                self.stats.tile_accesses[t] += served;
-                self.stats.faults.requests_dropped += dropped;
-            }
-            self.net.route_port_requests(&mut self.out_latches, &self.map);
-        }
-
-        // 5. End-of-cycle commit (tiles already committed above).
-        self.finish_cycle(now);
     }
 
     /// Runs `n` cycles unconditionally (for open-ended traffic experiments).

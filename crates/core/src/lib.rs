@@ -52,6 +52,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cancel;
@@ -63,7 +64,6 @@ mod functional;
 mod net;
 pub mod obs;
 mod packet;
-mod par;
 pub mod profile;
 pub mod sanitize;
 mod session;
@@ -151,9 +151,9 @@ impl<C: Core> L1Memory for Cluster<C> {
 /// [`SnitchCore`](mempool_snitch::SnitchCore) for program execution, or a
 /// synthetic traffic generator for the network analysis of §V-A/§V-B.
 ///
-/// `Send` is a supertrait so the tile-parallel engine
-/// ([`Cluster::set_workers`]) can step each tile's cores on a worker
-/// thread; core models are plain data, so this costs implementors nothing.
+/// `Send` is a supertrait so a whole [`Cluster`] is `Send` and can be
+/// handed to another thread (a sweep or campaign worker, say); core models
+/// are plain data, so this costs implementors nothing.
 pub trait Core: Send {
     /// Delivers a completed memory response (called before [`step`] within
     /// the same cycle, so same-cycle wakeups model 1-cycle local loads).

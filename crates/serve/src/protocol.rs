@@ -78,7 +78,7 @@ pub struct CampaignSpec {
 }
 
 /// A `bench` job: the simulator-throughput matrix, one point per
-/// (topology, size, engine/worker-count).
+/// (topology, size).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchSpec {
     /// Measured cycles per point.
@@ -87,8 +87,6 @@ pub struct BenchSpec {
     pub warmup: u64,
     /// Cluster sizes to measure (subset of {16, 64, 256} cores).
     pub cores: Vec<usize>,
-    /// Parallel-engine worker counts to measure.
-    pub workers: Vec<usize>,
 }
 
 /// One submitted job's payload, by kind.
@@ -176,17 +174,12 @@ impl JobSpec {
                 if spec.cycles == 0 {
                     return Err("cycles must be nonzero".to_owned());
                 }
-                if spec.cores.is_empty() || spec.workers.is_empty() {
-                    return Err("cores and workers lists must be nonempty".to_owned());
+                if spec.cores.is_empty() {
+                    return Err("cores list must be nonempty".to_owned());
                 }
                 for &c in &spec.cores {
                     if !matches!(c, 16 | 64 | 256) {
                         return Err(format!("unsupported bench size: {c} cores (16/64/256)"));
-                    }
-                }
-                for &w in &spec.workers {
-                    if w == 0 {
-                        return Err("bench worker counts must be nonzero".to_owned());
                     }
                 }
                 Ok(())
@@ -226,17 +219,17 @@ impl JobSpec {
                     .map_or_else(|| "null".to_owned(), |b| b.to_string()),
             ),
             JobSpec::Bench(spec) => format!(
-                "\"kind\":\"bench\",\"cycles\":{},\"warmup\":{},\"cores\":\"{}\",\
-                 \"workers\":\"{}\"",
+                "\"kind\":\"bench\",\"cycles\":{},\"warmup\":{},\"cores\":\"{}\"",
                 spec.cycles,
                 spec.warmup,
                 render_usize_list(&spec.cores),
-                render_usize_list(&spec.workers),
             ),
         }
     }
 
-    /// Reconstructs a spec from parsed flat-JSON fields.
+    /// Reconstructs a spec from parsed flat-JSON fields. Unknown keys are
+    /// ignored, so journal lines and submits from older versions (e.g. a
+    /// bench job's retired `workers` list) still parse.
     ///
     /// # Errors
     ///
@@ -285,7 +278,6 @@ impl JobSpec {
                 cycles: num("cycles")?,
                 warmup: num("warmup")?,
                 cores: parse_usize_list(get("cores")?)?,
-                workers: parse_usize_list(get("workers")?)?,
             })),
             other => Err(format!("unknown job kind `{other}`")),
         }
@@ -592,7 +584,6 @@ mod tests {
                 cycles: 300,
                 warmup: 50,
                 cores: vec![16, 64],
-                workers: vec![2, 4],
             }),
         ];
         for spec in specs {
@@ -604,6 +595,20 @@ mod tests {
             };
             let round = Request::from_json(&req.to_json()).expect("round trip");
             assert_eq!(round, req, "{}", req.to_json());
+            if matches!(spec, JobSpec::Bench(_)) {
+                // Older bench bodies (submits and journal lines) carried
+                // a `workers` list: they still parse, and re-rendering
+                // drops the key.
+                let legacy = req.to_json().replacen(
+                    "\"cores\":\"16,64\"",
+                    "\"cores\":\"16,64\",\"workers\":\"2,4\"",
+                    1,
+                );
+                assert!(legacy.contains("\"workers\":\"2,4\""), "{legacy}");
+                let round = Request::from_json(&legacy).expect("legacy bench body parses");
+                assert_eq!(round, req, "{legacy}");
+                assert!(!round.to_json().contains("workers"), "{}", round.to_json());
+            }
         }
     }
 
@@ -642,7 +647,6 @@ mod tests {
             cycles: 100,
             warmup: 0,
             cores: vec![12],
-            workers: vec![1],
         });
         assert!(bench.validate().is_err(), "12 cores unsupported");
     }

@@ -1,11 +1,10 @@
-//! The simulator benchmark harness behind `mempool-run --bench-json`.
+//! The simulator benchmark harness behind `mempool-run bench`.
 //!
 //! Measures *simulator throughput* — how many simulated cluster cycles
-//! (and core·cycles) one wall-clock second buys — for the serial and the
-//! tile-parallel engine on the ideal/Top4/TopH topologies at 16 and 256
-//! cores, and cross-checks that both engines land on the identical
-//! `state_digest` (the same oracle the differential tests pin). The
-//! resulting `BENCH_*.json` gives every future PR a perf trajectory to
+//! (and core·cycles) one wall-clock second buys — on the ideal/Top4/TopH
+//! topologies at 16 and 256 cores, and records each point's final
+//! `state_digest` so a trajectory file doubles as a behaviour check. The
+//! resulting `BENCH_*.json` gives every future change a perf trajectory to
 //! move; see DESIGN.md §10 for the schema.
 
 use mempool::{Cluster, ClusterConfig, Topology};
@@ -49,16 +48,8 @@ pub struct BenchConfig {
     /// Warm-up cycles before the timed window (fills the I-caches and the
     /// network).
     pub warmup: u64,
-    /// Worker count for the parallel-engine points (`0` = one worker per
-    /// available hardware thread). Ignored when `worker_counts` is
-    /// nonempty.
-    pub workers: usize,
     /// Cluster sizes to measure (subset of {16, 64, 256} cores).
     pub core_counts: Vec<usize>,
-    /// Parallel worker counts to sweep (`--bench-workers 2,4,8`): one
-    /// parallel point and one digest cross-check per count. Empty = the
-    /// single [`BenchConfig::effective_workers`] point.
-    pub worker_counts: Vec<usize>,
 }
 
 impl Default for BenchConfig {
@@ -66,37 +57,18 @@ impl Default for BenchConfig {
         BenchConfig {
             cycles: 2_000,
             warmup: 200,
-            workers: 0,
             core_counts: vec![16, 256],
-            worker_counts: Vec::new(),
         }
     }
 }
 
-impl BenchConfig {
-    /// The effective parallel worker count.
-    pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        }
-    }
-}
-
-/// One measured (topology, size, engine) point.
+/// One measured (topology, size) point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchPoint {
     /// Interconnect topology.
     pub topology: Topology,
     /// Total cores of the measured cluster.
     pub cores: usize,
-    /// `"serial"` or `"parallel"`.
-    pub engine: &'static str,
-    /// Worker threads used (0 for the serial engine).
-    pub workers: usize,
     /// Measured simulated cycles.
     pub cycles: u64,
     /// Wall-clock seconds for the measured window.
@@ -105,50 +77,18 @@ pub struct BenchPoint {
     pub sim_cycles_per_sec: f64,
     /// Simulated core·cycles per wall-clock second.
     pub core_cycles_per_sec: f64,
-    /// `state_digest` at the end of the window (cross-checked below).
+    /// `state_digest` at the end of the window (warmup + measured cycles).
     pub state_digest: u64,
 }
 
-/// The serial/parallel digest cross-check of one (topology, size) cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DigestCheck {
-    /// Interconnect topology.
-    pub topology: Topology,
-    /// Total cores.
-    pub cores: usize,
-    /// Worker threads of the parallel engine under check.
-    pub workers: usize,
-    /// Cycles both engines simulated (warmup + measured window).
-    pub cycles: u64,
-    /// Final digest of the serial engine.
-    pub serial_digest: u64,
-    /// Final digest of the parallel engine.
-    pub parallel_digest: u64,
-}
-
-impl DigestCheck {
-    /// Whether both engines agree.
-    pub fn matches(&self) -> bool {
-        self.serial_digest == self.parallel_digest
-    }
-}
-
-/// A full benchmark report: the measured points plus the digest
-/// cross-checks.
+/// A full benchmark report: the measured points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     /// Every measured point.
     pub points: Vec<BenchPoint>,
-    /// One serial-vs-parallel check per (topology, size).
-    pub digest_checks: Vec<DigestCheck>,
 }
 
 impl BenchReport {
-    /// Whether every digest cross-check passed.
-    pub fn digests_match(&self) -> bool {
-        self.digest_checks.iter().all(DigestCheck::matches)
-    }
-
     /// Renders the report as the `BENCH_*.json` document (schema in
     /// DESIGN.md §10).
     pub fn to_json(&self) -> String {
@@ -157,16 +97,16 @@ impl BenchReport {
         let _ = writeln!(out, "  \"schema\": \"{BENCH_SCHEMA}\",");
         out.push_str("  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
+            // `engine`/`workers` keep the v1 row shape (and the
+            // bench-regress `(topology, cores, engine)` key) stable.
             let _ = write!(
                 out,
-                "    {{\"topology\": \"{}\", \"cores\": {}, \"engine\": \"{}\", \
-                 \"workers\": {}, \"cycles\": {}, \"wall_seconds\": {:.6}, \
+                "    {{\"topology\": \"{}\", \"cores\": {}, \"engine\": \"serial\", \
+                 \"workers\": 0, \"cycles\": {}, \"wall_seconds\": {:.6}, \
                  \"sim_cycles_per_sec\": {:.1}, \"core_cycles_per_sec\": {:.1}, \
                  \"state_digest\": \"{:#018x}\"}}",
                 p.topology,
                 p.cores,
-                p.engine,
-                p.workers,
                 p.cycles,
                 p.wall_seconds,
                 p.sim_cycles_per_sec,
@@ -174,28 +114,6 @@ impl BenchReport {
                 p.state_digest,
             );
             out.push_str(if i + 1 < self.points.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"digest_checks\": [\n");
-        for (i, c) in self.digest_checks.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"topology\": \"{}\", \"cores\": {}, \"workers\": {}, \"cycles\": {}, \
-                 \"serial_digest\": \"{:#018x}\", \"parallel_digest\": \"{:#018x}\", \
-                 \"match\": {}}}",
-                c.topology,
-                c.cores,
-                c.workers,
-                c.cycles,
-                c.serial_digest,
-                c.parallel_digest,
-                c.matches(),
-            );
-            out.push_str(if i + 1 < self.digest_checks.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
         }
         out.push_str("  ]\n}\n");
         out
@@ -225,52 +143,33 @@ pub fn bench_cluster_config(topology: Topology, cores: usize) -> Result<ClusterC
     }
 }
 
-fn bench_cluster(
-    topology: Topology,
-    cores: usize,
-    workers: usize,
-) -> Result<Cluster<mempool_snitch::SnitchCore>, String> {
-    let config = bench_cluster_config(topology, cores)?;
-    let mut cluster = Cluster::snitch(config).map_err(|e| e.to_string())?;
-    cluster
-        .load_program(&workload())
-        .map_err(|e| e.to_string())?;
-    cluster.set_workers(workers);
-    Ok(cluster)
-}
-
-/// Measures one point and returns its final digest.
+/// Measures one point.
 fn measure_point(
-    report: &mut BenchReport,
     config: &BenchConfig,
     topology: Topology,
     cores: usize,
-    engine_workers: usize,
-) -> Result<u64, String> {
-    let engine = if engine_workers == 0 { "serial" } else { "parallel" };
-    let mut cluster = bench_cluster(topology, cores, engine_workers)?;
+) -> Result<BenchPoint, String> {
+    let mut cluster =
+        Cluster::snitch(bench_cluster_config(topology, cores)?).map_err(|e| e.to_string())?;
+    cluster
+        .load_program(&workload())
+        .map_err(|e| e.to_string())?;
     cluster.step_cycles(config.warmup);
     let start = Instant::now();
     cluster.step_cycles(config.cycles);
     let wall = start.elapsed().as_secs_f64().max(1e-9);
-    let digest = cluster.state_digest();
-    report.points.push(BenchPoint {
+    Ok(BenchPoint {
         topology,
         cores,
-        engine,
-        workers: engine_workers,
         cycles: config.cycles,
         wall_seconds: wall,
         sim_cycles_per_sec: config.cycles as f64 / wall,
         core_cycles_per_sec: (config.cycles * cores as u64) as f64 / wall,
-        state_digest: digest,
-    });
-    Ok(digest)
+        state_digest: cluster.state_digest(),
+    })
 }
 
-/// Runs the full benchmark matrix: {serial, parallel × worker counts} ×
-/// `core_counts` × {ideal, Top4, TopH}, one digest cross-check per
-/// (cell, worker count).
+/// Runs the full benchmark matrix: `core_counts` × {ideal, Top4, TopH}.
 ///
 /// # Errors
 ///
@@ -292,38 +191,14 @@ pub fn run_bench_supervised(
     config: &BenchConfig,
     interrupt: Option<&AtomicBool>,
 ) -> Result<(BenchReport, bool), String> {
-    let worker_counts = if config.worker_counts.is_empty() {
-        vec![config.effective_workers()]
-    } else {
-        config.worker_counts.clone()
-    };
     let topologies = [Topology::Ideal, Topology::Top4, Topology::TopH];
-    let mut report = BenchReport {
-        points: Vec::new(),
-        digest_checks: Vec::new(),
-    };
-    let stop = || interrupt.is_some_and(|flag| flag.load(Ordering::SeqCst));
+    let mut report = BenchReport { points: Vec::new() };
     for &cores in &config.core_counts {
         for topology in topologies {
-            if stop() {
+            if interrupt.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
                 return Ok((report, true));
             }
-            let serial_digest = measure_point(&mut report, config, topology, cores, 0)?;
-            for &workers in &worker_counts {
-                if stop() {
-                    return Ok((report, true));
-                }
-                let parallel_digest =
-                    measure_point(&mut report, config, topology, cores, workers.max(1))?;
-                report.digest_checks.push(DigestCheck {
-                    topology,
-                    cores,
-                    workers: workers.max(1),
-                    cycles: config.warmup + config.cycles,
-                    serial_digest,
-                    parallel_digest,
-                });
-            }
+            report.points.push(measure_point(config, topology, cores)?);
         }
     }
     Ok((report, false))
@@ -338,14 +213,15 @@ mod tests {
         let config = BenchConfig {
             cycles: 300,
             warmup: 50,
-            workers: 2,
             core_counts: vec![16],
-            worker_counts: Vec::new(),
         };
         let report = run_bench(&config).expect("bench runs");
-        assert_eq!(report.points.len(), 6); // 3 topologies × 2 engines
-        assert_eq!(report.digest_checks.len(), 3);
-        assert!(report.digests_match(), "{:#?}", report.digest_checks);
+        // One point per topology, and a rerun lands on the same digests.
+        assert_eq!(report.points.len(), 3);
+        let rerun = run_bench(&config).expect("bench reruns");
+        let digests =
+            |r: &BenchReport| r.points.iter().map(|p| p.state_digest).collect::<Vec<_>>();
+        assert_eq!(digests(&report), digests(&rerun));
         for p in &report.points {
             assert!(p.wall_seconds > 0.0);
             assert!(p.sim_cycles_per_sec > 0.0);
@@ -356,8 +232,9 @@ mod tests {
         }
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"mempool-bench-v1\""));
-        assert!(json.contains("\"match\": true"));
-        assert!(!json.contains("\"match\": false"));
+        let serial_rows = json.matches("\"engine\": \"serial\", \"workers\": 0,");
+        assert_eq!(serial_rows.count(), 3);
+        assert!(!json.contains("digest_checks"));
         // Crude structural sanity: balanced braces/brackets.
         assert_eq!(
             json.matches('{').count(),
@@ -370,20 +247,12 @@ mod tests {
     }
 
     #[test]
-    fn worker_sweep_checks_every_count_and_interrupts_cleanly() {
+    fn interrupt_returns_the_partial_report() {
         let config = BenchConfig {
             cycles: 200,
             warmup: 50,
             core_counts: vec![16],
-            worker_counts: vec![1, 2],
-            ..BenchConfig::default()
         };
-        let report = run_bench(&config).expect("bench runs");
-        assert_eq!(report.points.len(), 9); // 3 topologies × (serial + 2 parallel)
-        assert_eq!(report.digest_checks.len(), 6); // one per (cell, worker count)
-        assert!(report.digests_match(), "{:#?}", report.digest_checks);
-        assert!(report.to_json().contains("\"workers\": 2"));
-
         // An already-raised interrupt stops before the first point; the
         // report comes back (empty here) instead of being discarded.
         let flag = AtomicBool::new(true);
@@ -391,6 +260,13 @@ mod tests {
             run_bench_supervised(&config, Some(&flag)).expect("supervised");
         assert!(interrupted);
         assert!(partial.points.is_empty());
+
+        // A flag that never rises lets the sweep run to the end.
+        let flag = AtomicBool::new(false);
+        let (full, interrupted) =
+            run_bench_supervised(&config, Some(&flag)).expect("supervised");
+        assert!(!interrupted);
+        assert_eq!(full.points.len(), 3);
     }
 
     #[test]

@@ -41,7 +41,7 @@ commands:
       --cycle-budget <n>                  per-trial sim-cycle cap (default none)
   submit bench           submit a simulator-throughput bench matrix
       --cycles <n>        (default 1000)  --warmup <n>    (default 100)
-      --cores <list>      (default 16)    --bench-workers <list> (default 2)
+      --cores <list>      (default 16)
   status <job>           one job's state, heartbeat age, cycle progress
   wait <job>             stream a job's events until it finishes
       --out <file>                        write the result document (metrics /
@@ -477,7 +477,6 @@ fn submit_bench(rest: &[String], common: &mut SubmitCommon) -> Result<JobSpec, C
         cycles: 1000,
         warmup: 100,
         cores: vec![16],
-        workers: vec![2],
     };
     let mut args = rest.iter();
     while let Some(arg) = args.next() {
@@ -493,9 +492,6 @@ fn submit_bench(rest: &[String], common: &mut SubmitCommon) -> Result<JobSpec, C
             "--cycles" => spec.cycles = parse_num("--cycles", &next("--cycles")?)?,
             "--warmup" => spec.warmup = parse_num("--warmup", &next("--warmup")?)?,
             "--cores" => spec.cores = parse_list("--cores", &next("--cores")?)?,
-            "--bench-workers" => {
-                spec.workers = parse_list("--bench-workers", &next("--bench-workers")?)?;
-            }
             other => return Err(usage(format!("submit bench: unexpected `{other}`"))),
         }
     }

@@ -47,7 +47,6 @@ struct Options {
     checkpoint_file: Option<String>,
     resume: Option<String>,
     json: bool,
-    parallel: usize,
     metrics_json: Option<String>,
     metrics_stream: Option<String>,
     trace_out: Option<String>,
@@ -69,8 +68,6 @@ struct BenchOptions {
     out: String,
     cores: Vec<usize>,
     cycles: u64,
-    parallel: usize,
-    bench_workers: Vec<usize>,
 }
 
 /// Options of the `profile` subcommand: one profiled program run with the
@@ -81,7 +78,6 @@ struct ProfileOptions {
     small: bool,
     scramble: bool,
     max_cycles: u64,
-    parallel: usize,
     max_pcs: usize,
     window: u64,
     top: usize,
@@ -163,8 +159,6 @@ run options:
   --checkpoint-file <file>           checkpoint path (default <program.s>.ckpt)
   --resume <file>                    restore a checkpoint and continue the run
   --json                             machine-readable result (incl. state digest)
-  --parallel <n>                     step tiles on n worker threads (0 = serial,
-                                     bit-identical results either way)
   --metrics-json <file>              export the mempool-metrics-v1 registry
                                      (per-scope counters + latency histograms)
   --metrics-stream <file>            append a partial-metrics JSON line
@@ -196,14 +190,10 @@ options:
                           --metrics-json is accepted as an alias)
   --cores <16|256|all>    bench cluster sizes (default all)
   --cycles <n>            measured cycles per bench point (default 2000)
-  --parallel <n>          worker threads for the parallel-engine points
-  --bench-workers <list>  comma-separated worker counts to sweep (e.g. 2,4,8);
-                          one parallel point and digest check per count
   --help                  this text
 
-exit status: 0 on success (all digests match), 1 on runtime errors or a
-serial/parallel digest divergence, 2 on usage errors, 3 when interrupted
-(completed points are still flushed to --out)";
+exit status: 0 on success, 1 on runtime errors, 2 on usage errors, 3 when
+interrupted (completed points are still flushed to --out)";
 
 const CAMPAIGN_USAGE: &str = "usage: mempool-run campaign [OPTIONS]
 
@@ -261,8 +251,6 @@ options:
   --small                            64-core cluster instead of 256
   --no-scramble                      disable the hybrid addressing scheme
   --max-cycles <n>                   cycle budget (default 100000000)
-  --parallel <n>                     step tiles on n worker threads (0 = serial,
-                                     bit-identical results either way)
   --max-pcs <n>                      per-core (region, PC)-pair bound
                                      (default 4096)
   --window <n>                       power-sampling window in cycles
@@ -389,7 +377,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, ParseAr
         checkpoint_file: None,
         resume: None,
         json: false,
-        parallel: 0,
         metrics_json: None,
         metrics_stream: None,
         trace_out: None,
@@ -469,11 +456,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, ParseAr
             "--checkpoint-file" => opts.checkpoint_file = Some(value("--checkpoint-file")?),
             "--resume" => opts.resume = Some(value("--resume")?),
             "--json" => opts.json = true,
-            "--parallel" => {
-                opts.parallel = value("--parallel")?
-                    .parse()
-                    .map_err(|_| invalid("--parallel", "expected a worker count"))?;
-            }
             "--metrics-json" => opts.metrics_json = Some(value("--metrics-json")?),
             "--metrics-stream" => opts.metrics_stream = Some(value("--metrics-stream")?),
             "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
@@ -561,11 +543,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, ParseAr
             ));
         }
     }
-    if opts.functional && opts.parallel > 0 {
-        return Err(ParseArgsError::Conflict(
-            "--parallel requires the cycle-accurate simulator",
-        ));
-    }
     if opts.functional {
         if opts.faults.is_some() {
             return Err(ParseArgsError::Conflict(
@@ -626,8 +603,6 @@ fn parse_bench_args(
     let mut out = None;
     let mut cores = vec![16, 256];
     let mut cycles = 2_000;
-    let mut parallel = 0;
-    let mut bench_workers = Vec::new();
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         let mut value = |name: &'static str| {
@@ -647,40 +622,13 @@ fn parse_bench_args(
                     return Err(invalid("--cycles", "must be nonzero"));
                 }
             }
-            "--parallel" => {
-                parallel = value("--parallel")?
-                    .parse()
-                    .map_err(|_| invalid("--parallel", "expected a worker count"))?;
-            }
-            "--bench-workers" => {
-                let list = value("--bench-workers")?;
-                bench_workers = list
-                    .split(',')
-                    .map(|w| match w.trim().parse::<usize>() {
-                        Ok(n) if n > 0 => Ok(n),
-                        _ => Err(invalid(
-                            "--bench-workers",
-                            &format!("expected nonzero worker counts, got `{w}`"),
-                        )),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if bench_workers.is_empty() {
-                    return Err(invalid("--bench-workers", "expected at least one count"));
-                }
-            }
             "--help" | "-h" => return Err(ParseArgsError::Help),
             _ if arg.starts_with('-') => return Err(ParseArgsError::UnknownOption(arg)),
             _ => return Err(ParseArgsError::UnexpectedArgument(arg)),
         }
     }
     let out = out.ok_or(ParseArgsError::MissingOption("--out"))?;
-    Ok(BenchOptions {
-        out,
-        cores,
-        cycles,
-        parallel,
-        bench_workers,
-    })
+    Ok(BenchOptions { out, cores, cycles })
 }
 
 fn parse_campaign_args(
@@ -938,7 +886,6 @@ fn parse_profile_args(
         small: false,
         scramble: true,
         max_cycles: 100_000_000,
-        parallel: 0,
         max_pcs: 4096,
         window: 1024,
         top: 10,
@@ -959,11 +906,6 @@ fn parse_profile_args(
                 opts.max_cycles = value("--max-cycles")?
                     .parse()
                     .map_err(|_| invalid("--max-cycles", "expected a cycle count"))?;
-            }
-            "--parallel" => {
-                opts.parallel = value("--parallel")?
-                    .parse()
-                    .map_err(|_| invalid("--parallel", "expected a worker count"))?;
             }
             "--max-pcs" => {
                 opts.max_pcs = value("--max-pcs")?
@@ -1109,15 +1051,12 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs the benchmark matrix and writes the report; a digest divergence
-/// between the serial and parallel engines is a hard error (exit 1).
+/// Runs the benchmark matrix and writes the report.
 fn run_bench_mode(opts: &BenchOptions) -> Result<(), Error> {
     use mempool_suite::bench::{run_bench_supervised, BenchConfig};
     let config = BenchConfig {
         cycles: opts.cycles,
-        workers: opts.parallel,
         core_counts: opts.cores.clone(),
-        worker_counts: opts.bench_workers.clone(),
         ..BenchConfig::default()
     };
     // SIGINT/SIGTERM stop the sweep after the point in flight; completed
@@ -1130,32 +1069,15 @@ fn run_bench_mode(opts: &BenchOptions) -> Result<(), Error> {
     let interrupt = None;
     let (report, interrupted) = run_bench_supervised(&config, interrupt).map_err(Error::Other)?;
     std::fs::write(&opts.out, report.to_json()).map_err(|e| Error::io(&opts.out, e))?;
-    println!(
-        "bench: {} points, {} digest checks -> {}",
-        report.points.len(),
-        report.digest_checks.len(),
-        opts.out
-    );
+    println!("bench: {} points -> {}", report.points.len(), opts.out);
     for p in &report.points {
         println!(
-            "  {:>5} {:>3} cores {:>8}: {:>12.0} sim-cycles/s ({:.2e} core-cycles/s)",
+            "  {:>5} {:>3} cores: {:>12.0} sim-cycles/s ({:.2e} core-cycles/s)",
             p.topology.to_string(),
             p.cores,
-            p.engine,
             p.sim_cycles_per_sec,
             p.core_cycles_per_sec
         );
-    }
-    if !report.digests_match() {
-        for c in report.digest_checks.iter().filter(|c| !c.matches()) {
-            eprintln!(
-                "digest divergence: {} at {} cores after {} cycles: serial {:#018x} != parallel {:#018x}",
-                c.topology, c.cores, c.cycles, c.serial_digest, c.parallel_digest
-            );
-        }
-        return Err(Error::Other(
-            "serial and parallel engines diverged".to_string(),
-        ));
     }
     if interrupted {
         eprintln!(
@@ -1423,7 +1345,6 @@ fn run_profile_mode(opts: &ProfileOptions) -> Result<(), Error> {
         source: e,
     })?;
     let mut session = SimSession::builder(config)
-        .workers(opts.parallel)
         .profile(ProfileConfig {
             max_pcs: opts.max_pcs,
             power_window: opts.window,
@@ -1533,8 +1454,6 @@ fn run(opts: &Options) -> Result<(), Error> {
             out: out.clone(),
             cores: opts.bench_cores.clone(),
             cycles: opts.bench_cycles,
-            parallel: opts.parallel,
-            bench_workers: Vec::new(),
         });
     }
     let mut config = if opts.small {
@@ -1578,7 +1497,7 @@ fn run(opts: &Options) -> Result<(), Error> {
     if opts.faults.is_some() {
         config.resilience = ResilienceConfig::standard();
     }
-    let mut builder = SimSession::builder(config).workers(opts.parallel);
+    let mut builder = SimSession::builder(config);
     if let Some(spec) = opts.faults {
         if !opts.json {
             println!("fault injection: {spec} (seed {})", opts.seed);
@@ -1907,20 +1826,8 @@ mod tests {
                 out: "o.json".to_owned(),
                 cores: vec![16],
                 cycles: 2_000,
-                parallel: 0,
-                bench_workers: vec![],
             }
         );
-        let Command::Bench(b) =
-            command(&["bench", "--out", "o.json", "--bench-workers", "2,4,8"]).unwrap()
-        else {
-            panic!("expected bench")
-        };
-        assert_eq!(b.bench_workers, vec![2, 4, 8]);
-        assert!(matches!(
-            command(&["bench", "--out", "o.json", "--bench-workers", "2,0"]),
-            Err((ParseArgsError::InvalidValue { option: "--bench-workers", .. }, _))
-        ));
         // --metrics-json is the shared spelling of the output flag.
         let Command::Bench(b) = command(&["bench", "--metrics-json", "m.json"]).unwrap() else {
             panic!("expected bench")
@@ -2042,7 +1949,6 @@ mod tests {
                 small: true,
                 scramble: true,
                 max_cycles: 100_000_000,
-                parallel: 0,
                 max_pcs: 256,
                 window: 512,
                 top: 5,
@@ -2071,28 +1977,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_bench_flags() {
-        let o = args(&["--parallel", "8", "p.s"]).unwrap();
-        assert_eq!(o.parallel, 8);
+    fn legacy_bench_flags() {
+        let o = args(&["p.s"]).unwrap();
         assert!(o.bench_json.is_none());
 
         // Bench mode needs no program path and carries its own knobs.
         let o = args(&[
             "--bench-json", "out.json", "--bench-cores", "16", "--bench-cycles", "500",
-            "--parallel", "4",
         ])
         .unwrap();
         assert_eq!(o.bench_json.as_deref(), Some("out.json"));
         assert_eq!(o.bench_cores, vec![16]);
         assert_eq!(o.bench_cycles, 500);
-        assert_eq!(o.parallel, 4);
         let o = args(&["--bench-json", "out.json", "--bench-cores", "all"]).unwrap();
         assert_eq!(o.bench_cores, vec![16, 256]);
 
-        assert!(matches!(
-            args(&["--parallel", "lots", "p.s"]),
-            Err(ParseArgsError::InvalidValue { option: "--parallel", .. })
-        ));
         assert!(matches!(
             args(&["--bench-cores", "12", "--bench-json", "o.json"]),
             Err(ParseArgsError::InvalidValue { option: "--bench-cores", .. })
@@ -2116,10 +2015,6 @@ mod tests {
         ));
         assert!(matches!(
             args(&["--bench-json", "o.json", "--faults", "bank_fail=1"]),
-            Err(ParseArgsError::Conflict(_))
-        ));
-        assert!(matches!(
-            args(&["--functional", "--parallel", "2", "p.s"]),
             Err(ParseArgsError::Conflict(_))
         ));
     }

@@ -41,7 +41,7 @@ pub enum Error {
         /// The underlying I/O error.
         source: std::io::Error,
     },
-    /// A free-form runtime failure (e.g. an engine digest divergence).
+    /// A free-form runtime failure (e.g. an unsupported bench size).
     Other(String),
     /// A campaign was interrupted (SIGINT/SIGTERM) after flushing its
     /// manifest and checkpoint; re-running with `--resume` continues

@@ -80,7 +80,6 @@ fn bench_spec() -> JobSpec {
         cycles: 100,
         warmup: 10,
         cores: vec![16],
-        workers: vec![1],
     })
 }
 
