@@ -10,9 +10,9 @@
 //! queued jobs into free worker slots.
 //!
 //! Failure handling composes the shared [`mempool_traffic`] supervision
-//! primitives: worker exits are classified with
-//! [`classify_exit`](mempool_traffic::classify_exit) (`panic` / `signal` /
-//! `timeout` / `oom` / `exit`), retried from the job's last checkpoint
+//! primitives: each worker is an owned [`Worker`] handle, whose exit is
+//! classified (`panic` / `signal` / `timeout` / `oom` / `exit`) once its
+//! stdout ends and it is reaped, then retried from the job's last checkpoint
 //! under the seeded [`RetryPolicy`], and given up deterministically (budget
 //! spent, or the same failure twice in a row). A drain (`SIGTERM` or the
 //! `shutdown` op) `SIGTERM`s every worker, which checkpoint-parks its job
@@ -22,19 +22,18 @@
 use crate::journal::{self, Journal, ReplayedJob};
 use crate::metrics::{ServeGauges, ServeMetrics};
 use crate::protocol::{
-    event, json_str, resp_err, resp_ok, stream_record, JobSpec, JobStatus, Request,
-    PROTOCOL_VERSION,
+    event, resp_err, resp_ok, stream_record, JobSpec, JobStatus, Request, PROTOCOL_VERSION,
 };
 use crate::sched::{Rejection, Scheduler, SchedulerConfig};
 use crate::timeline::JobTimeline;
 use mempool_traffic::{
-    classify_exit, json_escape, parse_flat_json, FailureKind, RetryPolicy, TrialFailure,
+    json_escape, json_str, parse_flat_json, FailureKind, RetryPolicy, TrialFailure, Worker,
 };
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant};
@@ -94,8 +93,8 @@ pub struct DaemonSummary {
 
 enum Msg {
     Request { reply: Sender<String>, line: String },
-    Worker { job: u64, line: String },
-    WorkerEof { job: u64 },
+    /// One stdout line of a job's worker; `None` marks end of stream.
+    Worker { job: u64, line: Option<String> },
 }
 
 struct Job {
@@ -143,24 +142,12 @@ impl Job {
     }
 }
 
+/// A running job's worker and what its stdout has reported so far.
 struct WorkerProc {
-    child: Child,
-    deadline: Option<Instant>,
-    killed_for_deadline: bool,
+    worker: Worker,
     parked: bool,
     result: Option<String>,
     error: Option<String>,
-}
-
-/// `Child::kill` delivers `SIGKILL`; a drain must deliver `SIGTERM` so the
-/// worker gets to checkpoint-park before exiting.
-fn sigterm(child: &Child) {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    unsafe {
-        kill(child.id() as i32, 15);
-    }
 }
 
 struct Daemon {
@@ -256,7 +243,11 @@ pub fn run_daemon(config: DaemonConfig, shutdown: &AtomicBool) -> io::Result<Dae
         if shutdown.load(Ordering::Relaxed) && !daemon.draining {
             daemon.enter_drain();
         }
-        daemon.poll_deadlines();
+        for proc in daemon.workers.values_mut() {
+            if proc.worker.enforce_deadline() {
+                daemon.metrics.deadline_kill();
+            }
+        }
         daemon.dispatch();
         if daemon.draining && daemon.workers.is_empty() {
             break;
@@ -333,8 +324,8 @@ impl Daemon {
     fn handle(&mut self, msg: Msg) {
         match msg {
             Msg::Request { reply, line } => self.handle_request(&reply, &line),
-            Msg::Worker { job, line } => self.handle_worker_line(job, &line),
-            Msg::WorkerEof { job } => self.settle(job),
+            Msg::Worker { job, line: Some(line) } => self.handle_worker_line(job, &line),
+            Msg::Worker { job, line: None } => self.settle(job),
         }
     }
 
@@ -496,10 +487,10 @@ impl Daemon {
             self.finish(id, JobStatus::Cancelled, "{\"detail\":\"cancelled while queued\"}");
             return resp_ok(&[("job", id.to_string()), ("status", json_str("cancelled"))]);
         }
-        if let Some(worker) = self.workers.get(&id) {
+        if let Some(proc) = self.workers.get(&id) {
             // The worker parks on SIGTERM; settle() sees the cancel flag
             // and records the terminal state.
-            sigterm(&worker.child);
+            proc.worker.terminate();
             return resp_ok(&[("job", id.to_string()), ("status", json_str("cancelling"))]);
         }
         self.finish(id, JobStatus::Cancelled, "{\"detail\":\"cancelled\"}");
@@ -626,21 +617,9 @@ impl Daemon {
 
     fn enter_drain(&mut self) {
         self.draining = true;
-        for worker in self.workers.values() {
-            sigterm(&worker.child);
-        }
-    }
-
-    fn poll_deadlines(&mut self) {
-        let now = Instant::now();
-        for worker in self.workers.values_mut() {
-            if let Some(deadline) = worker.deadline {
-                if now >= deadline && !worker.killed_for_deadline {
-                    worker.killed_for_deadline = true;
-                    self.metrics.deadline_kill();
-                    let _ = worker.child.kill();
-                }
-            }
+        for proc in self.workers.values() {
+            // `SIGTERM`, not `SIGKILL`: the worker checkpoint-parks first.
+            proc.worker.terminate();
         }
     }
 
@@ -693,14 +672,19 @@ impl Daemon {
                 }
             },
         };
-        let spawned = Command::new(&cmd)
-            .arg("job-worker")
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn();
-        let mut child = match spawned {
-            Ok(child) => child,
+        let mut command = Command::new(&cmd);
+        command.arg("job-worker").stderr(Stdio::inherit());
+        let job = format!(
+            "{{\"job\":{id},\"attempt\":{attempt},\"checkpoint\":\"{}\",{body}}}",
+            json_escape(&ckpt.display().to_string()),
+        );
+        let deadline = deadline_secs
+            .map(Duration::from_secs)
+            .or(self.config.default_deadline);
+        let events = self.events_tx.clone();
+        let wrap = move |line| Msg::Worker { job: id, line };
+        let worker = match Worker::spawn(command, &job, deadline, events, wrap) {
+            Ok(worker) => worker,
             Err(e) => {
                 self.fail_attempt(
                     id,
@@ -710,25 +694,6 @@ impl Daemon {
                 return;
             }
         };
-        if let Some(mut stdin) = child.stdin.take() {
-            let line = format!(
-                "{{\"job\":{id},\"attempt\":{attempt},\"checkpoint\":\"{}\",{body}}}\n",
-                json_escape(&ckpt.display().to_string()),
-            );
-            let _ = stdin.write_all(line.as_bytes());
-        }
-        if let Some(stdout) = child.stdout.take() {
-            let events = self.events_tx.clone();
-            std::thread::spawn(move || {
-                for line in BufReader::new(stdout).lines() {
-                    let Ok(line) = line else { break };
-                    if events.send(Msg::Worker { job: id, line }).is_err() {
-                        break;
-                    }
-                }
-                let _ = events.send(Msg::WorkerEof { job: id });
-            });
-        }
         self.metrics.worker_spawned();
         if let Some(job) = self.jobs.get_mut(&id) {
             if !job.dispatched {
@@ -737,16 +702,10 @@ impl Daemon {
                 self.metrics.queue_wait(wait);
             }
         }
-        let deadline = deadline_secs
-            .map(Duration::from_secs)
-            .or(self.config.default_deadline)
-            .map(|d| Instant::now() + d);
         self.workers.insert(
             id,
             WorkerProc {
-                child,
-                deadline,
-                killed_for_deadline: false,
+                worker,
                 parked: false,
                 result: None,
                 error: None,
@@ -800,35 +759,29 @@ impl Daemon {
             self.stream(id, "partial", false, &extra, &detail);
             return;
         }
-        let Some(worker) = self.workers.get_mut(&id) else {
+        let Some(proc) = self.workers.get_mut(&id) else {
             return;
         };
         if line.starts_with("parked ") {
-            worker.parked = true;
+            proc.parked = true;
         } else if let Some(result) = line.strip_prefix("result ") {
-            worker.result = Some(result.trim().to_owned());
+            proc.result = Some(result.trim().to_owned());
         } else if let Some(error) = line.strip_prefix("error ") {
-            worker.error = Some(error.trim().to_owned());
+            proc.error = Some(error.trim().to_owned());
         }
     }
 
     /// A worker's stdout hit EOF: reap it and decide the job's fate.
     fn settle(&mut self, id: u64) {
-        let Some(mut worker) = self.workers.remove(&id) else {
+        let Some(mut proc) = self.workers.remove(&id) else {
             return;
         };
-        let status = match worker.child.wait() {
-            Ok(status) => status,
-            Err(e) => {
-                self.fail_attempt(id, FailureKind::Exit(-1), format!("wait failed: {e}"));
-                return;
-            }
-        };
+        let exit = proc.worker.reap();
         let cancel_requested = self
             .jobs
             .get(&id)
             .is_some_and(|job| job.cancel_requested);
-        if worker.parked || status.code() == Some(3) {
+        if proc.parked || matches!(exit, Err((FailureKind::Exit(3), _))) {
             self.metrics.worker_parked();
             if cancel_requested {
                 self.finish(id, JobStatus::Cancelled, "{\"detail\":\"cancelled while running\"}");
@@ -842,8 +795,8 @@ impl Daemon {
             }
             return;
         }
-        if status.success() {
-            if let Some(result) = worker.result.take() {
+        let Err((kind, mut detail)) = exit else {
+            if let Some(result) = proc.result.take() {
                 self.metrics.worker_completed();
                 self.finish(id, JobStatus::Completed, &result);
             } else {
@@ -854,13 +807,12 @@ impl Daemon {
                 );
             }
             return;
-        }
+        };
         if cancel_requested {
             self.finish(id, JobStatus::Cancelled, "{\"detail\":\"cancelled while running\"}");
             return;
         }
-        let (kind, mut detail) = classify_exit(status, worker.killed_for_deadline);
-        if let Some(error) = worker.error.take() {
+        if let Some(error) = proc.error.take() {
             detail = error;
         }
         self.fail_attempt(id, kind, detail);

@@ -12,10 +12,10 @@
 //! - **Admission control** ([`Scheduler`]): a bounded queue with per-tenant
 //!   quotas and priority classes. Overload is a typed
 //!   [`Rejection::Overloaded`], never unbounded growth.
-//! - **Supervision** ([`daemon`]): worker crash/panic/OOM classification
-//!   ([`mempool_traffic::classify_exit`]), seeded exponential backoff and
-//!   retry-from-last-checkpoint ([`mempool_traffic::RetryPolicy`]), and
-//!   per-job wall-clock deadlines.
+//! - **Supervision** ([`daemon`]): owned worker handles
+//!   ([`mempool_traffic::Worker`]) with crash/panic/OOM classification,
+//!   seeded exponential backoff and retry-from-last-checkpoint
+//!   ([`mempool_traffic::RetryPolicy`]), and per-job wall-clock deadlines.
 //! - **Graceful drain**: `SIGTERM` checkpoint-parks every in-flight job
 //!   (workers write a final snapshot and exit with status 3); a restarted
 //!   daemon replays its [`journal`] and resumes each job bit-identically,
@@ -25,6 +25,7 @@
 //! the daemon and client are Unix-only (local socket + signals).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod journal;
 pub mod metrics;

@@ -515,12 +515,6 @@ pub fn event(kind: &str, job: u64, extra: &[(&str, String)]) -> String {
     out
 }
 
-/// Quotes and escapes a string into a JSON string token (for
-/// [`resp_ok`] / [`event`] values).
-pub fn json_str(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
-}
-
 /// Builds one [`STREAM_SCHEMA`] record line. `seq` is the job's monotonic
 /// record counter (the daemon advances it for every record whether or not
 /// anyone is subscribed, so observation never changes the numbering);
@@ -552,6 +546,7 @@ pub fn stream_record(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mempool_traffic::json_str;
 
     fn run_spec() -> JobSpec {
         JobSpec::Run(RunSpec {

@@ -26,15 +26,17 @@ use crate::campaign::{
     sibling_path, CampaignConfig, CampaignError, CampaignReport, Trial, TrialStop,
     TrialSupervision,
 };
-use crate::supervise::{classify_exit, json_escape, parse_flat_json, RetryPolicy};
+use crate::json::{json_escape, parse_flat_json};
+use crate::supervise::{RetryPolicy, Worker};
 use crate::{FailureKind, Pattern, TrialFailure, Windows};
 use mempool::{CancelToken, ClusterConfig, SanitizerConfig};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{self, BufRead, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, Write};
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, Sender};
 use std::time::{Duration, Instant};
 
 /// A trial the executor gave up on, with its full failure history.
@@ -72,9 +74,6 @@ pub struct ExecutorConfig {
     /// `Some(n)`: run each trial in a child worker process, `n` at a time.
     /// `None`: run trials in this process, sequentially.
     pub isolate: Option<usize>,
-    /// Worker binary for isolation mode (`None` = this executable, which
-    /// must understand the `trial-worker` subcommand).
-    pub worker_cmd: Option<PathBuf>,
     /// Opaque cluster-config spec passed verbatim to workers in the job
     /// spec; the binary hosting the worker subcommand interprets it.
     pub config_spec: String,
@@ -98,7 +97,6 @@ impl fmt::Debug for ExecutorConfig {
             .field("backoff_seed", &self.backoff_seed)
             .field("checkpoint_every", &self.checkpoint_every)
             .field("isolate", &self.isolate)
-            .field("worker_cmd", &self.worker_cmd)
             .field("config_spec", &self.config_spec)
             .field("sanitize", &self.sanitize)
             .field("inject_failure", &self.inject_failure.is_some())
@@ -117,7 +115,6 @@ impl Default for ExecutorConfig {
             backoff_seed: 0,
             checkpoint_every: 4_096,
             isolate: None,
-            worker_cmd: None,
             config_spec: String::new(),
             sanitize: None,
             inject_failure: None,
@@ -387,42 +384,26 @@ impl Executor {
         }
     }
 
-    fn spawn_worker(&self, manifest: &Path, seed: u64, attempt: u32) -> io::Result<RunningTrial> {
+    /// Starts this executable's `trial-worker` on one attempt of `seed`;
+    /// its stdout lines arrive on `events` tagged with the seed.
+    fn spawn_worker(
+        &self,
+        manifest: &Path,
+        seed: u64,
+        attempt: u32,
+        events: &Sender<(u64, Option<String>)>,
+    ) -> io::Result<RunningTrial> {
         let ckpt = sibling_path(manifest, &format!(".ckpt.{seed}"));
-        let cmd = match &self.exec.worker_cmd {
-            Some(p) => p.clone(),
-            None => std::env::current_exe()?,
-        };
-        let mut child = std::process::Command::new(cmd)
-            .arg("trial-worker")
-            .stdin(std::process::Stdio::piped())
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::null())
-            .spawn()?;
-        let mut stdin = child.stdin.take().expect("stdin was piped");
-        let job = self.job(seed, &ckpt);
-        // A worker that dies before reading its job spec must not kill the
-        // campaign with a broken pipe; the exit classification covers it.
-        let _ = writeln!(stdin, "{}", job.to_json());
-        drop(stdin);
-        let stdout = child.stdout.take().expect("stdout was piped");
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let reader = io::BufReader::new(stdout);
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
-                if tx.send(parse_worker_line(&line)).is_err() {
-                    break;
-                }
-            }
-        });
+        let mut cmd = Command::new(std::env::current_exe()?);
+        cmd.arg("trial-worker").stderr(Stdio::null());
+        let job = self.job(seed, &ckpt).to_json();
+        let worker = Worker::spawn(cmd, &job, self.exec.deadline, events.clone(), move |line| {
+            (seed, line)
+        })?;
         Ok(RunningTrial {
             seed,
             attempt,
-            child,
-            rx,
-            started: Instant::now(),
-            killed_for_deadline: false,
+            worker,
             last_heartbeat: None,
             result: None,
             stop: None,
@@ -444,7 +425,11 @@ impl Executor {
         let mut ready: BTreeMap<u64, Trial> = BTreeMap::new();
         let mut failures_by_seed: BTreeMap<u64, Vec<TrialFailure>> = BTreeMap::new();
         let mut retry_at: Vec<(Instant, u64)> = Vec::new();
-        let mut running: Vec<RunningTrial> = Vec::new();
+        // Keyed by seed: a seed has at most one attempt in flight. Dropping
+        // a `RunningTrial` kills and reaps its worker, so every return
+        // path, `?` included, takes the fleet down with it.
+        let mut running: BTreeMap<u64, RunningTrial> = BTreeMap::new();
+        let (events, lines) = mpsc::channel();
         let mut quarantined: Vec<QuarantinedTrial> = Vec::new();
         let mut retries = 0u64;
         let mut new_trials = 0u32;
@@ -454,10 +439,7 @@ impl Executor {
         while trials.len() < total {
             if is_set(interrupt) {
                 interrupted = true;
-                for r in &mut running {
-                    let _ = r.child.kill();
-                    let _ = r.child.wait();
-                }
+                running.clear();
                 break;
             }
 
@@ -467,7 +449,7 @@ impl Executor {
                 if let Some(pos) = retry_at.iter().position(|(t, _)| *t <= now) {
                     let (_, seed) = retry_at.remove(pos);
                     let attempt = failures_by_seed.get(&seed).map_or(0, Vec::len) as u32 + 1;
-                    running.push(self.spawn_worker(manifest, seed, attempt)?);
+                    running.insert(seed, self.spawn_worker(manifest, seed, attempt, &events)?);
                     continue;
                 }
                 let scheduled = trials.len() + ready.len() + running.len() + retry_at.len();
@@ -476,42 +458,21 @@ impl Executor {
                 }
                 let seed = base + next_fresh as u64;
                 next_fresh += 1;
-                running.push(self.spawn_worker(manifest, seed, 1)?);
+                running.insert(seed, self.spawn_worker(manifest, seed, 1, &events)?);
             }
 
-            // Poll the fleet.
-            let mut i = 0;
-            while i < running.len() {
-                running[i].drain_messages();
-                if let Some(deadline) = self.exec.deadline {
-                    let r = &mut running[i];
-                    if !r.killed_for_deadline
-                        && r.result.is_none()
-                        && r.stop.is_none()
-                        && r.started.elapsed() >= deadline
-                    {
-                        let _ = r.child.kill();
-                        r.killed_for_deadline = true;
+            // A worker is done when its stdout ends. The timeout bounds how
+            // late deadlines, due retries and the interrupt flag are seen.
+            match lines.recv_timeout(Duration::from_millis(20)) {
+                Ok((seed, Some(line))) => {
+                    if let Some(r) = running.get_mut(&seed) {
+                        r.apply(parse_worker_line(&line));
                     }
                 }
-                match running[i].child.try_wait() {
-                    Ok(Some(status)) => {
-                        let mut done = running.swap_remove(i);
-                        // The reader thread may still be flushing the final
-                        // lines; give it a bounded moment to drain.
-                        let settle = Instant::now() + Duration::from_millis(500);
-                        while done.result.is_none() && done.error.is_none() {
-                            match done.rx.recv_timeout(Duration::from_millis(20)) {
-                                Ok(msg) => done.apply(msg),
-                                Err(_) if Instant::now() >= settle => break,
-                                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                            }
-                        }
-                        done.drain_messages();
+                Ok((seed, None)) => {
+                    if let Some(done) = running.remove(&seed) {
                         self.settle_worker(
                             done,
-                            status,
                             manifest,
                             &mut ready,
                             &mut failures_by_seed,
@@ -520,7 +481,12 @@ impl Executor {
                             &mut retries,
                         );
                     }
-                    _ => i += 1,
+                }
+                Err(_) => {}
+            }
+            for r in running.values_mut() {
+                if r.result.is_none() && r.stop.is_none() {
+                    r.worker.enforce_deadline();
                 }
             }
 
@@ -529,9 +495,6 @@ impl Executor {
                 append_trial(&mut file, &t)?;
                 trials.push(t);
                 new_trials += 1;
-            }
-            if trials.len() < total {
-                std::thread::sleep(Duration::from_millis(5));
             }
         }
         while let Some(t) = ready.remove(&(base + trials.len() as u64)) {
@@ -552,14 +515,14 @@ impl Executor {
         })
     }
 
-    /// Folds one exited worker into the scheduling state: a clean result
-    /// goes to the in-order buffer, anything else becomes a classified
-    /// failure that is retried (with backoff) or quarantined.
+    /// Reaps a worker whose stdout ended and folds it into the scheduling
+    /// state: a clean result goes to the in-order buffer, anything else
+    /// becomes a classified failure that is retried (with backoff) or
+    /// quarantined.
     #[allow(clippy::too_many_arguments)]
     fn settle_worker(
         &self,
         done: RunningTrial,
-        status: std::process::ExitStatus,
         manifest: &Path,
         ready: &mut BTreeMap<u64, Trial>,
         failures_by_seed: &mut BTreeMap<u64, Vec<TrialFailure>>,
@@ -567,13 +530,12 @@ impl Executor {
         quarantined: &mut Vec<QuarantinedTrial>,
         retries: &mut u64,
     ) {
-        let seed = done.seed;
-        if status.success() {
-            if let Some(trial) = done.result {
-                ready.insert(seed, trial);
-                failures_by_seed.remove(&seed);
-                return;
-            }
+        let (seed, attempt) = (done.seed, done.attempt);
+        let exit = done.worker.reap();
+        if let (Ok(()), Some(trial)) = (&exit, done.result) {
+            ready.insert(seed, trial);
+            failures_by_seed.remove(&seed);
+            return;
         }
         let (kind, detail) = if let Some((kind, detail)) = done.stop {
             // Cooperative stops carry a deterministic detail; keep it
@@ -582,7 +544,10 @@ impl Executor {
         } else if let Some(msg) = done.error {
             (FailureKind::Exit(1), msg)
         } else {
-            let (kind, mut detail) = classify_exit(status, done.killed_for_deadline);
+            let (kind, mut detail) = exit.err().unwrap_or_else(|| {
+                let detail = "worker exited cleanly without a result";
+                (FailureKind::Exit(0), detail.to_owned())
+            });
             if let Some(cycle) = done.last_heartbeat {
                 detail.push_str(&format!(" (last heartbeat at cycle {cycle})"));
             }
@@ -590,7 +555,7 @@ impl Executor {
         };
         let failures = failures_by_seed.entry(seed).or_default();
         failures.push(TrialFailure {
-            attempt: done.attempt,
+            attempt,
             kind,
             detail,
         });
@@ -601,7 +566,7 @@ impl Executor {
             quarantined.push(QuarantinedTrial { seed, failures });
         } else {
             *retries += 1;
-            let delay = self.backoff_delay(seed, done.attempt);
+            let delay = self.backoff_delay(seed, attempt);
             retry_at.push((Instant::now() + delay, seed));
         }
     }
@@ -611,10 +576,7 @@ impl Executor {
 struct RunningTrial {
     seed: u64,
     attempt: u32,
-    child: std::process::Child,
-    rx: mpsc::Receiver<WorkerMsg>,
-    started: Instant,
-    killed_for_deadline: bool,
+    worker: Worker,
     /// Most recently reported sim cycle (diagnostic; a worker killed on
     /// deadline restarts from its last checkpoint at or before this).
     last_heartbeat: Option<u64>,
@@ -630,12 +592,6 @@ impl RunningTrial {
             WorkerMsg::Result(t) => self.result = Some(*t),
             WorkerMsg::Stopped(kind, detail) => self.stop = Some((kind, detail)),
             WorkerMsg::Error(e) => self.error = Some(e),
-        }
-    }
-
-    fn drain_messages(&mut self) {
-        while let Ok(msg) = self.rx.try_recv() {
-            self.apply(msg);
         }
     }
 }

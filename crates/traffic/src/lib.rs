@@ -23,11 +23,13 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod campaign;
 mod exec;
 mod experiment;
 mod gen;
+mod json;
 mod replay;
 mod supervise;
 
@@ -40,9 +42,10 @@ pub use campaign::{
 pub use exec::{
     run_trial_worker, Executor, ExecutorConfig, ExecutorReport, QuarantinedTrial, WorkerJob,
 };
+pub use json::{json_escape, json_str, json_unescape, parse_flat_json};
 pub use supervise::{
-    classify_exit, json_escape, json_unescape, parse_config_spec, parse_flat_json,
-    render_config_spec, FailureKind, RetryPolicy, TrialFailure,
+    classify_exit, interrupt_flag, parse_config_spec, render_config_spec, FailureKind,
+    RetryPolicy, TrialFailure, Worker,
 };
 pub use experiment::{
     md1_latency, run_point, run_point_with_metrics, run_sweep, saturation_throughput,

@@ -1,18 +1,21 @@
 //! Shared process-supervision primitives: failure classification, seeded
-//! retry/backoff policy, the flat JSON-line codec every worker protocol in
-//! the suite speaks, and the opaque cluster-config spec exchanged between
+//! retry/backoff policy, the owned [`Worker`] process handle, the signal
+//! hookup, and the opaque cluster-config spec exchanged between
 //! supervisors and workers.
 //!
-//! The campaign [`Executor`](crate::Executor) introduced these pieces for
-//! crash-isolated fault campaigns; `mempool-serve` reuses them to supervise
-//! arbitrary run/bench/campaign jobs. They live here — below both — so the
-//! two supervisors classify, back off, and quarantine identically.
+//! The campaign [`Executor`](crate::Executor) (`campaign --isolate`) and the
+//! `mempool-serve` daemon both supervise worker processes through these
+//! pieces, so the two spawn, time out, reap, classify, back off, and
+//! quarantine identically.
 
 use mempool::{ClusterConfig, Topology};
 use mempool_rng::{Rng, SeedableRng, StdRng};
-use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Duration;
+use std::io::{self, BufRead, BufReader, Write};
+use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::Sender;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// How a supervised attempt failed, in the classification the executor
 /// contract names: `panic|signal|timeout|oom|exit`, plus the sanitizer
@@ -162,100 +165,158 @@ pub fn classify_exit(
 }
 
 // ---------------------------------------------------------------------------
-// Flat JSON-line codec.
+// The worker process handle.
 // ---------------------------------------------------------------------------
 
-/// Escapes a string for embedding in a flat JSON line.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// An owned worker process: started with piped stdin and stdout, fed one
+/// job line, its stdout pumped line by line into the caller's channel.
+/// Dropping the handle kills and reaps the process, so no worker outlives
+/// the value that owns it, whichever way its owner returns.
+///
+/// A worker is done when its stdout ends: the pump sends `wrap(None)` after
+/// the last line, and the owner then [`reap`](Worker::reap)s it. Lines pass
+/// through raw; each supervisor keeps its own line vocabulary.
+#[derive(Debug)]
+pub struct Worker {
+    child: Child,
+    pump: Option<JoinHandle<()>>,
+    deadline: Option<Instant>,
+    killed_for_deadline: bool,
 }
 
-/// Reverses [`json_escape`]; `None` on a malformed escape.
-pub fn json_unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if hex.len() != 4 {
-                    return None;
+impl Worker {
+    /// Starts `cmd` (program, arguments and stderr set by the caller),
+    /// writes `job` plus a newline to its stdin and closes it, and forwards
+    /// each stdout line as `wrap(Some(line))` into `events`, then
+    /// `wrap(None)` at end of stream. `deadline` bounds the attempt's wall
+    /// time from now (see [`enforce_deadline`](Worker::enforce_deadline)).
+    ///
+    /// # Errors
+    ///
+    /// The spawn failure.
+    pub fn spawn<T: Send + 'static>(
+        mut cmd: Command,
+        job: &str,
+        deadline: Option<Duration>,
+        events: Sender<T>,
+        wrap: impl Fn(Option<String>) -> T + Send + 'static,
+    ) -> io::Result<Worker> {
+        let mut child = cmd.stdin(Stdio::piped()).stdout(Stdio::piped()).spawn()?;
+        let stdout = child.stdout.take().expect("stdout was piped");
+        let pump = std::thread::spawn(move || {
+            for line in BufReader::new(stdout).lines() {
+                let Ok(line) = line else { break };
+                if events.send(wrap(Some(line))).is_err() {
+                    return;
                 }
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
             }
-            _ => return None,
+            let _ = events.send(wrap(None));
+        });
+        let mut stdin = child.stdin.take().expect("stdin was piped");
+        // A worker that dies before reading its job must not fail the
+        // supervisor with a broken pipe; its exit classification covers it.
+        let _ = stdin.write_all(format!("{job}\n").as_bytes());
+        Ok(Worker {
+            child,
+            pump: Some(pump),
+            deadline: deadline.map(|d| Instant::now() + d),
+            killed_for_deadline: false,
+        })
+    }
+
+    /// Kills the worker once its deadline has passed; `true` on the one
+    /// call that kills. [`reap`](Worker::reap) then reports
+    /// [`FailureKind::Timeout`].
+    pub fn enforce_deadline(&mut self) -> bool {
+        if self.killed_for_deadline || self.deadline.is_none_or(|d| Instant::now() < d) {
+            return false;
+        }
+        self.killed_for_deadline = true;
+        let _ = self.child.kill();
+        true
+    }
+
+    /// Sends `SIGTERM`, which a worker may catch to checkpoint and exit
+    /// (unlike the `SIGKILL` of a deadline or a drop).
+    #[cfg(unix)]
+    pub fn terminate(&self) {
+        sys::sigterm(self.child.id());
+    }
+
+    /// Waits for the worker to exit; call it after the end-of-stream marker.
+    ///
+    /// # Errors
+    ///
+    /// A nonzero exit, classified by [`classify_exit`], or the `wait`
+    /// failure.
+    pub fn reap(mut self) -> Result<(), (FailureKind, String)> {
+        let status = self.child.wait();
+        if let Some(pump) = self.pump.take() {
+            let _ = pump.join();
+        }
+        match status {
+            Ok(status) if status.success() => Ok(()),
+            Ok(status) => Err(classify_exit(status, self.killed_for_deadline)),
+            Err(e) => Err((FailureKind::Exit(-1), format!("wait failed: {e}"))),
         }
     }
-    Some(out)
 }
 
-/// Parses a flat JSON object (string / number / bool / null values only)
-/// into raw `key -> value` pairs; string values are unescaped, everything
-/// else kept as its bare token.
-pub fn parse_flat_json(s: &str) -> Option<BTreeMap<String, String>> {
-    let s = s.trim();
-    let body = s.strip_prefix('{')?.strip_suffix('}')?;
-    let mut fields = BTreeMap::new();
-    let mut rest = body.trim_start();
-    while !rest.is_empty() {
-        rest = rest.strip_prefix('"')?;
-        let key_end = rest.find('"')?;
-        let key = rest[..key_end].to_owned();
-        rest = rest[key_end + 1..].trim_start().strip_prefix(':')?.trim_start();
-        let value;
-        if let Some(after) = rest.strip_prefix('"') {
-            // A string value: scan for the first unescaped quote.
-            let mut end = None;
-            let mut escaped = false;
-            for (i, c) in after.char_indices() {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    end = Some(i);
-                    break;
-                }
-            }
-            let end = end?;
-            value = json_unescape(&after[..end])?;
-            rest = after[end + 1..].trim_start();
-        } else {
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            value = rest[..end].trim().to_owned();
-            rest = &rest[end..];
+impl Drop for Worker {
+    fn drop(&mut self) {
+        // Both are no-ops after `reap`. The pump is not joined: it ends on
+        // its own once the pipe closes, which a grandchild could delay.
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+pub use sys::interrupt_flag;
+
+/// The workspace's one foreign-function boundary: `signal(2)` and `kill(2)`,
+/// declared directly because no libc crate is available.
+#[allow(unsafe_code)]
+mod sys {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    static INTERRUPTED: AtomicBool = AtomicBool::new(false);
+
+    #[cfg(unix)]
+    extern "C" {
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+
+    #[cfg(unix)]
+    extern "C" fn on_signal(_signum: i32) {
+        INTERRUPTED.store(true, Ordering::SeqCst);
+    }
+
+    /// Routes `SIGINT` and `SIGTERM` to one process-wide flag and returns
+    /// it. Repeated calls install the same handler again, harmlessly.
+    pub fn interrupt_flag() -> &'static AtomicBool {
+        // SAFETY: `on_signal` has the C handler signature and only does a
+        // lock-free atomic store, which is async-signal-safe.
+        #[cfg(unix)]
+        unsafe {
+            signal(2, on_signal);
+            signal(15, on_signal);
         }
-        fields.insert(key, value);
-        rest = rest.trim_start();
-        if let Some(after) = rest.strip_prefix(',') {
-            rest = after.trim_start();
-        } else {
-            break;
+        &INTERRUPTED
+    }
+
+    #[cfg(unix)]
+    pub(super) fn sigterm(pid: u32) {
+        // A pid past `i32::MAX` would turn negative and signal a process
+        // group; the kernel hands out no such pid.
+        if let Ok(pid) = i32::try_from(pid) {
+            // SAFETY: `kill` reads only its integer arguments. The caller
+            // owns the unreaped child `pid`, so the pid is not recycled.
+            unsafe {
+                kill(pid, 15);
+            }
         }
     }
-    Some(fields)
 }
 
 // ---------------------------------------------------------------------------
@@ -351,17 +412,62 @@ mod tests {
         assert_eq!(off.delay(7, 3), Duration::ZERO);
     }
 
+    fn sh(script: &str) -> Command {
+        let mut cmd = Command::new("sh");
+        cmd.args(["-c", script]);
+        cmd
+    }
+
     #[test]
-    fn flat_json_rejects_malformed_documents() {
-        assert!(parse_flat_json("{\"a\":1}").is_some());
-        assert!(parse_flat_json("not json").is_none());
-        assert!(parse_flat_json("{\"a\":\"unterminated}").is_none());
-        assert!(parse_flat_json("{\"a\"}").is_none());
-        let fields = parse_flat_json("{\"s\":\"a\\\"b\",\"n\":3,\"b\":true,\"z\":null}")
-            .expect("parses");
-        assert_eq!(fields["s"], "a\"b");
-        assert_eq!(fields["n"], "3");
-        assert_eq!(fields["b"], "true");
-        assert_eq!(fields["z"], "null");
+    #[cfg(target_os = "linux")]
+    fn dropping_the_handle_kills_and_reaps_the_worker() {
+        let (tx, _rx) = std::sync::mpsc::channel();
+        let worker = Worker::spawn(sh("sleep 30"), "{}", None, tx, |l| l).expect("spawns");
+        let proc_dir = std::path::PathBuf::from(format!("/proc/{}", worker.child.id()));
+        assert!(proc_dir.exists());
+        drop(worker);
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while proc_dir.exists() {
+            assert!(Instant::now() < deadline, "the worker outlived its handle");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn deadline_kills_once_and_classifies_as_timeout() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let deadline = Some(Duration::from_millis(50));
+        let mut worker =
+            Worker::spawn(sh("exec sleep 30"), "{}", deadline, tx, |l| l).expect("spawns");
+        let give_up = Instant::now() + Duration::from_secs(10);
+        let mut kills = 0;
+        loop {
+            assert!(Instant::now() < give_up, "the killed worker never ended");
+            match rx.recv_timeout(Duration::from_millis(10)) {
+                Ok(None) => break,
+                Ok(Some(line)) => panic!("unexpected line {line}"),
+                Err(_) => kills += usize::from(worker.enforce_deadline()),
+            }
+        }
+        kills += usize::from(worker.enforce_deadline());
+        assert_eq!(kills, 1);
+        let (kind, _) = worker.reap().expect_err("a killed worker failed");
+        assert_eq!(kind, FailureKind::Timeout);
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn lines_arrive_before_the_end_marker_and_the_exit_classifies() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let script = "read job; echo \"$job\"; echo two; exit 7";
+        let worker = Worker::spawn(sh(script), "one", None, tx, |l| l).expect("spawns");
+        let mut lines = Vec::new();
+        while let Some(line) = rx.recv_timeout(Duration::from_secs(10)).expect("ends") {
+            lines.push(line);
+        }
+        assert_eq!(lines, ["one", "two"]);
+        let (kind, _) = worker.reap().expect_err("exit 7 is a failure");
+        assert_eq!(kind, FailureKind::Exit(7));
     }
 }

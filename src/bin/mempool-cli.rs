@@ -7,6 +7,7 @@
 //! human-readable rendering, and exit codes.
 
 #![cfg(unix)]
+#![forbid(unsafe_code)]
 
 use mempool::Topology;
 use mempool_serve::{

@@ -8,10 +8,8 @@
 //! $ mempool-run bench --out bench.json --cores 16
 //! $ mempool-run campaign --small --loads 0.02,0.10 --metrics-json sweep.json
 //! ```
-//!
-//! The pre-subcommand flat form (`mempool-run [OPTIONS] <program.s>`) still
-//! parses — it behaves exactly like `run` — but prints a one-line
-//! deprecation note on stderr.
+
+#![forbid(unsafe_code)]
 
 use mempool::{
     ClusterConfig, ClusterSnapshot, FaultPlan, FaultSpec, ObsConfig, ProfileConfig,
@@ -20,8 +18,8 @@ use mempool::{
 use mempool_riscv::{assemble, Reg};
 use mempool_suite::error::Error;
 use mempool_traffic::{
-    run_point_with_metrics, run_trial_worker, Executor, ExecutorConfig, MeteredPoint, Pattern,
-    Windows, WorkerJob,
+    interrupt_flag, parse_config_spec, render_config_spec, run_point_with_metrics,
+    run_trial_worker, Executor, ExecutorConfig, MeteredPoint, Pattern, Windows, WorkerJob,
 };
 use std::fmt;
 use std::fmt::Write as _;
@@ -53,16 +51,12 @@ struct Options {
     trace_sample: u64,
     profile_out: Option<String>,
     power_out: Option<String>,
-    bench_json: Option<String>,
-    bench_cores: Vec<usize>,
-    bench_cycles: u64,
     max_wall_secs: Option<u64>,
     sanitize: bool,
     path: String,
 }
 
-/// Options of the `bench` subcommand (also assembled from the legacy
-/// `--bench-json` flat flags).
+/// Options of the `bench` subcommand.
 #[derive(Debug, PartialEq, Eq)]
 struct BenchOptions {
     out: String,
@@ -121,7 +115,7 @@ struct CampaignOptions {
 /// A parsed command line: which subcommand runs, with its options.
 #[derive(Debug)]
 enum Command {
-    Run { opts: Box<Options>, legacy: bool },
+    Run(Box<Options>),
     Bench(BenchOptions),
     Campaign(Box<CampaignOptions>),
     Profile(ProfileOptions),
@@ -131,10 +125,9 @@ enum Command {
 }
 
 const USAGE: &str = "usage: mempool-run <run|bench|campaign|profile> [OPTIONS]
-       mempool-run [OPTIONS] <program.s>   (deprecated; same as `run`)
 
 subcommands:
-  run        assemble and execute a program (default; see `run --help`)
+  run        assemble and execute a program (see `run --help`)
   bench      the simulator benchmark matrix (see `bench --help`)
   campaign   a synthetic-traffic load sweep with metrics (see `campaign --help`)
   profile    a profiled run: region/stall breakdown, flamegraph and power
@@ -176,9 +169,6 @@ run options:
                                      typed timeout error when it expires
   --sanitize                         check cycle-level interconnect invariants
                                      every cycle; violations are an error
-  --bench-json <file>                deprecated; use `mempool-run bench --out`
-  --bench-cores <16|256|all>         bench cluster sizes (default all)
-  --bench-cycles <n>                 measured cycles per bench point (default 2000)
   --help                             this text
 
 exit status: 0 on success, 1 on runtime errors, 2 on usage errors";
@@ -326,17 +316,11 @@ fn parse_topology(value: &str) -> Result<Topology, ParseArgsError> {
     }
 }
 
-/// Splits the command line into a subcommand and its options. An argument
-/// list that does not start with a subcommand name falls back to the
-/// legacy flat `run` form (reported via `legacy: true` so the caller can
-/// print a deprecation note).
+/// Splits the command line into a subcommand and its options.
 fn parse_command(args: Vec<String>) -> Result<Command, (ParseArgsError, &'static str)> {
     match args.first().map(String::as_str) {
         Some("run") => parse_args(args.into_iter().skip(1))
-            .map(|o| Command::Run {
-                opts: Box::new(o),
-                legacy: false,
-            })
+            .map(|o| Command::Run(Box::new(o)))
             .map_err(|e| (e, USAGE)),
         Some("bench") => parse_bench_args(args.into_iter().skip(1))
             .map(Command::Bench)
@@ -349,12 +333,11 @@ fn parse_command(args: Vec<String>) -> Result<Command, (ParseArgsError, &'static
         Some("profile") => parse_profile_args(args.into_iter().skip(1))
             .map(Command::Profile)
             .map_err(|e| (e, PROFILE_USAGE)),
-        _ => parse_args(args)
-            .map(|o| Command::Run {
-                opts: Box::new(o),
-                legacy: true,
-            })
-            .map_err(|e| (e, USAGE)),
+        Some("--help" | "-h") => Err((ParseArgsError::Help, USAGE)),
+        _ => Err((
+            ParseArgsError::MissingOption("a subcommand (run, bench, campaign or profile)"),
+            USAGE,
+        )),
     }
 }
 
@@ -383,9 +366,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, ParseAr
         trace_sample: 64,
         profile_out: None,
         power_out: None,
-        bench_json: None,
-        bench_cores: vec![16, 256],
-        bench_cycles: 2_000,
         max_wall_secs: None,
         sanitize: false,
         path: String::new(),
@@ -480,68 +460,19 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, ParseAr
                 opts.max_wall_secs = Some(secs);
             }
             "--sanitize" => opts.sanitize = true,
-            "--bench-json" => opts.bench_json = Some(value("--bench-json")?),
-            "--bench-cores" => {
-                opts.bench_cores = parse_bench_cores("--bench-cores", &value("--bench-cores")?)?;
-            }
-            "--bench-cycles" => {
-                opts.bench_cycles = value("--bench-cycles")?
-                    .parse()
-                    .map_err(|_| invalid("--bench-cycles", "expected a cycle count"))?;
-                if opts.bench_cycles == 0 {
-                    return Err(invalid("--bench-cycles", "must be nonzero"));
-                }
-            }
             "--help" | "-h" => return Err(ParseArgsError::Help),
             _ if arg.starts_with('-') => return Err(ParseArgsError::UnknownOption(arg)),
             _ if opts.path.is_empty() => opts.path = arg,
             _ => return Err(ParseArgsError::UnexpectedArgument(arg)),
         }
     }
-    if opts.path.is_empty() && !opts.describe && opts.bench_json.is_none() {
+    if opts.path.is_empty() && !opts.describe {
         return Err(ParseArgsError::MissingProgram);
     }
     if trace_sample_given && opts.trace_out.is_none() {
         return Err(ParseArgsError::Conflict(
             "--trace-sample only applies to --trace-out",
         ));
-    }
-    if opts.bench_json.is_some() {
-        if !opts.path.is_empty() {
-            return Err(ParseArgsError::Conflict(
-                "--bench-json runs its own workload; drop the program path",
-            ));
-        }
-        if opts.functional {
-            return Err(ParseArgsError::Conflict(
-                "--bench-json requires the cycle-accurate simulator",
-            ));
-        }
-        if opts.faults.is_some() {
-            return Err(ParseArgsError::Conflict(
-                "--bench-json measures the fault-free engines",
-            ));
-        }
-        if opts.json {
-            return Err(ParseArgsError::Conflict(
-                "--bench-json already writes a JSON report",
-            ));
-        }
-        if opts.metrics_json.is_some()
-            || opts.metrics_stream.is_some()
-            || opts.trace_out.is_some()
-            || opts.profile_out.is_some()
-            || opts.power_out.is_some()
-        {
-            return Err(ParseArgsError::Conflict(
-                "--bench-json writes its own report; use `mempool-run bench`",
-            ));
-        }
-        if opts.checkpoint_every > 0 || opts.checkpoint_file.is_some() || opts.resume.is_some() {
-            return Err(ParseArgsError::Conflict(
-                "--bench-json cannot be combined with checkpointing",
-            ));
-        }
     }
     if opts.functional {
         if opts.faults.is_some() {
@@ -585,13 +516,13 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, ParseAr
     Ok(opts)
 }
 
-fn parse_bench_cores(option: &'static str, value: &str) -> Result<Vec<usize>, ParseArgsError> {
+fn parse_bench_cores(value: &str) -> Result<Vec<usize>, ParseArgsError> {
     match value {
         "16" => Ok(vec![16]),
         "256" => Ok(vec![256]),
         "all" => Ok(vec![16, 256]),
         other => Err(invalid(
-            option,
+            "--cores",
             &format!("expected 16, 256 or all, got `{other}`"),
         )),
     }
@@ -613,7 +544,7 @@ fn parse_bench_args(
             // Shared output flag across subcommands; for bench the metrics
             // document *is* the report.
             "--metrics-json" => out = Some(value("--metrics-json")?),
-            "--cores" => cores = parse_bench_cores("--cores", &value("--cores")?)?,
+            "--cores" => cores = parse_bench_cores(&value("--cores")?)?,
             "--cycles" => {
                 cycles = value("--cycles")?
                     .parse()
@@ -1006,15 +937,7 @@ fn main() -> ExitCode {
         }
     };
     let result = match cmd {
-        Command::Run { opts, legacy } => {
-            if legacy {
-                eprintln!(
-                    "note: flat flags are deprecated; use `mempool-run run [OPTIONS] \
-                     <program.s>` (or the `bench`/`campaign` subcommands)"
-                );
-            }
-            run(&opts)
-        }
+        Command::Run(opts) => run(&opts),
         Command::Bench(opts) => run_bench_mode(&opts),
         Command::Campaign(opts) => {
             if opts.faults.is_some() {
@@ -1061,13 +984,8 @@ fn run_bench_mode(opts: &BenchOptions) -> Result<(), Error> {
     };
     // SIGINT/SIGTERM stop the sweep after the point in flight; completed
     // measurements are flushed to the report instead of discarded.
-    #[cfg(unix)]
-    sig::install();
-    #[cfg(unix)]
-    let interrupt = Some(&sig::INTERRUPTED);
-    #[cfg(not(unix))]
-    let interrupt = None;
-    let (report, interrupted) = run_bench_supervised(&config, interrupt).map_err(Error::Other)?;
+    let (report, interrupted) =
+        run_bench_supervised(&config, Some(interrupt_flag())).map_err(Error::Other)?;
     std::fs::write(&opts.out, report.to_json()).map_err(|e| Error::io(&opts.out, e))?;
     println!("bench: {} points -> {}", report.points.len(), opts.out);
     for p in &report.points {
@@ -1155,38 +1073,6 @@ fn run_campaign_mode(opts: &CampaignOptions) -> Result<(), Error> {
     Ok(())
 }
 
-/// Raw POSIX signal hookup for graceful campaign interruption. No signal
-/// crate is available, so `signal(2)` is declared directly; the handler
-/// only flips an atomic the executor polls between checkpoints.
-#[cfg(unix)]
-mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub static INTERRUPTED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        INTERRUPTED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    /// Routes SIGINT and SIGTERM to the `INTERRUPTED` flag.
-    pub fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-}
-
-// `render_config_spec` / `parse_config_spec` moved to `mempool_traffic`
-// (shared with the `mempool-serve` daemon's workers).
-use mempool_traffic::{parse_config_spec, render_config_spec};
-
 /// Runs a supervised fault-injection campaign (`campaign --faults ...`)
 /// under the crash-isolated executor.
 fn run_fault_campaign_mode(opts: &CampaignOptions) -> Result<(), Error> {
@@ -1224,14 +1110,8 @@ fn run_fault_campaign_mode(opts: &CampaignOptions) -> Result<(), Error> {
             None => String::new(),
         }
     );
-    #[cfg(unix)]
-    sig::install();
-    #[cfg(unix)]
-    let interrupt = Some(&sig::INTERRUPTED);
-    #[cfg(not(unix))]
-    let interrupt = None;
     let executor = Executor::new(config, campaign, exec);
-    let report = executor.run(std::path::Path::new(manifest), interrupt)?;
+    let report = executor.run(std::path::Path::new(manifest), Some(interrupt_flag()))?;
     println!(
         "{} ({} resumed, {} new, {} retried attempt(s))",
         report.report.summary(),
@@ -1449,13 +1329,6 @@ fn run_profile_mode(opts: &ProfileOptions) -> Result<(), Error> {
 }
 
 fn run(opts: &Options) -> Result<(), Error> {
-    if let Some(out) = &opts.bench_json {
-        return run_bench_mode(&BenchOptions {
-            out: out.clone(),
-            cores: opts.bench_cores.clone(),
-            cycles: opts.bench_cycles,
-        });
-    }
     let mut config = if opts.small {
         ClusterConfig::small(opts.topology)
     } else {
@@ -1803,18 +1676,18 @@ mod tests {
 
     #[test]
     fn subcommand_dispatch() {
-        // `run` and the legacy flat form parse to the same options.
-        let Command::Run { opts, legacy } = command(&["run", "--small", "p.s"]).unwrap() else {
+        let Command::Run(opts) = command(&["run", "--small", "p.s"]).unwrap() else {
             panic!("expected run")
         };
-        assert!(!legacy);
         assert!(opts.small);
         assert_eq!(opts.path, "p.s");
-        let Command::Run { opts, legacy } = command(&["--small", "p.s"]).unwrap() else {
-            panic!("expected legacy run")
-        };
-        assert!(legacy);
-        assert!(opts.small);
+        // Every invocation names its subcommand; the flat form is gone.
+        for flat in [&["--small", "p.s"][..], &["p.s"][..], &[][..]] {
+            assert!(
+                matches!(command(flat), Err((ParseArgsError::MissingOption(_), USAGE))),
+                "{flat:?} must be rejected"
+            );
+        }
 
         let Command::Bench(b) = command(&["bench", "--out", "o.json", "--cores", "16"]).unwrap()
         else {
@@ -1836,6 +1709,14 @@ mod tests {
         assert!(matches!(
             command(&["bench"]),
             Err((ParseArgsError::MissingOption("--out"), _))
+        ));
+        assert!(matches!(
+            command(&["bench", "--out", "o.json", "--cores", "12"]),
+            Err((ParseArgsError::InvalidValue { option: "--cores", .. }, BENCH_USAGE))
+        ));
+        assert!(matches!(
+            command(&["bench", "--out", "o.json", "--cycles", "0"]),
+            Err((ParseArgsError::InvalidValue { option: "--cycles", .. }, BENCH_USAGE))
         ));
 
         let Command::Campaign(c) = command(&[
@@ -1894,10 +1775,6 @@ mod tests {
             args(&["--functional", "--metrics-json", "m.json", "p.s"]),
             Err(ParseArgsError::Conflict(_))
         ));
-        assert!(matches!(
-            args(&["--bench-json", "o.json", "--metrics-json", "m.json"]),
-            Err(ParseArgsError::Conflict(_))
-        ));
     }
 
     #[test]
@@ -1925,10 +1802,6 @@ mod tests {
 
         assert!(matches!(
             args(&["--functional", "--profile-out", "f.folded", "p.s"]),
-            Err(ParseArgsError::Conflict(_))
-        ));
-        assert!(matches!(
-            args(&["--bench-json", "o.json", "--power-out", "p.json"]),
             Err(ParseArgsError::Conflict(_))
         ));
     }
@@ -1977,49 +1850,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bench_flags() {
-        let o = args(&["p.s"]).unwrap();
-        assert!(o.bench_json.is_none());
-
-        // Bench mode needs no program path and carries its own knobs.
-        let o = args(&[
-            "--bench-json", "out.json", "--bench-cores", "16", "--bench-cycles", "500",
-        ])
-        .unwrap();
-        assert_eq!(o.bench_json.as_deref(), Some("out.json"));
-        assert_eq!(o.bench_cores, vec![16]);
-        assert_eq!(o.bench_cycles, 500);
-        let o = args(&["--bench-json", "out.json", "--bench-cores", "all"]).unwrap();
-        assert_eq!(o.bench_cores, vec![16, 256]);
-
-        assert!(matches!(
-            args(&["--bench-cores", "12", "--bench-json", "o.json"]),
-            Err(ParseArgsError::InvalidValue { option: "--bench-cores", .. })
-        ));
-        assert!(matches!(
-            args(&["--bench-cycles", "0", "--bench-json", "o.json"]),
-            Err(ParseArgsError::InvalidValue { option: "--bench-cycles", .. })
-        ));
-        // Conflicts are typed, not silently ignored.
-        assert!(matches!(
-            args(&["--bench-json", "o.json", "p.s"]),
-            Err(ParseArgsError::Conflict(_))
-        ));
-        assert!(matches!(
-            args(&["--bench-json", "o.json", "--functional"]),
-            Err(ParseArgsError::Conflict(_))
-        ));
-        assert!(matches!(
-            args(&["--bench-json", "o.json", "--json"]),
-            Err(ParseArgsError::Conflict(_))
-        ));
-        assert!(matches!(
-            args(&["--bench-json", "o.json", "--faults", "bank_fail=1"]),
-            Err(ParseArgsError::Conflict(_))
-        ));
-    }
-
-    #[test]
     fn rejections_are_typed() {
         assert_eq!(args(&[]).unwrap_err(), ParseArgsError::MissingProgram);
         assert!(matches!(
@@ -2060,6 +1890,10 @@ mod tests {
     fn help_is_not_an_error_case() {
         assert_eq!(args(&["--help"]).unwrap_err(), ParseArgsError::Help);
         assert_eq!(args(&["-h", "p.s"]).unwrap_err(), ParseArgsError::Help);
+        // Without a subcommand, --help/-h print the top-level usage.
+        for help in ["--help", "-h"] {
+            assert!(matches!(command(&[help]), Err((ParseArgsError::Help, USAGE))));
+        }
         // Each subcommand answers --help with its own usage text.
         assert!(matches!(
             command(&["bench", "--help"]),

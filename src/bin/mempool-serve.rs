@@ -14,18 +14,20 @@
 //!   classifies and retries).
 
 #![cfg(unix)]
+#![forbid(unsafe_code)]
 
 use mempool::{CancelToken, ObsConfig, SimSession};
 use mempool_serve::{run_daemon, DaemonConfig, JobSpec};
 use mempool_suite::bench::{run_bench_supervised, BenchConfig};
 use mempool_suite::error::Error;
 use mempool_traffic::{
-    append_trial, json_escape, open_manifest, parse_config_spec, parse_flat_json,
+    append_trial, interrupt_flag, json_escape, open_manifest, parse_config_spec, parse_flat_json,
     run_trial_supervised, CampaignConfig, CampaignError, CampaignReport, Pattern, TrialStop,
     TrialSupervision, Windows,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 const USAGE: &str = "usage: mempool-serve [OPTIONS]
@@ -50,31 +52,6 @@ options:
   --help                 this text
 
 exit status: 0 after a clean drain, 1 on runtime errors, 2 on usage errors";
-
-mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub static INTERRUPTED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        INTERRUPTED.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    /// Routes SIGINT and SIGTERM to the `INTERRUPTED` flag (the daemon's
-    /// drain trigger; the worker's park trigger).
-    pub fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -155,15 +132,14 @@ fn daemon_mode(args: &[String]) -> Result<(), Error> {
             other => return Err(usage(format!("unknown option `{other}`"))),
         }
     }
-    sig::install();
+    let drain = interrupt_flag();
     println!(
         "mempool-serve: listening on {} ({} worker slot(s), state in {})",
         config.socket.display(),
         config.worker_slots,
         config.state_dir.display()
     );
-    let summary =
-        run_daemon(config, &sig::INTERRUPTED).map_err(|e| Error::io("mempool-serve", e))?;
+    let summary = run_daemon(config, drain).map_err(|e| Error::io("mempool-serve", e))?;
     println!(
         "mempool-serve: drained — {} completed, {} failed, {} cancelled, {} parked, {} queued{}",
         summary.completed,
@@ -191,12 +167,10 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::from(1)
 }
 
-fn parked() -> bool {
-    sig::INTERRUPTED.load(std::sync::atomic::Ordering::SeqCst)
-}
-
 fn job_worker_mode() -> ExitCode {
-    sig::install();
+    // Installed before anything else: the daemon's SIGTERM must park the
+    // job, not kill the worker.
+    let park = interrupt_flag();
     let mut line = String::new();
     if let Err(e) = std::io::stdin().read_line(&mut line) {
         return fail(&format!("reading the job document: {e}"));
@@ -212,9 +186,9 @@ fn job_worker_mode() -> ExitCode {
         Err(e) => return fail(&e),
     };
     match spec {
-        JobSpec::Run(spec) => run_worker(&spec, &ckpt),
-        JobSpec::Campaign(spec) => campaign_worker(&spec, &ckpt),
-        JobSpec::Bench(spec) => bench_worker(&spec),
+        JobSpec::Run(spec) => run_worker(&spec, &ckpt, park),
+        JobSpec::Campaign(spec) => campaign_worker(&spec, &ckpt, park),
+        JobSpec::Bench(spec) => bench_worker(&spec, park),
     }
 }
 
@@ -232,7 +206,7 @@ fn emit_partial_metrics<C: mempool::Core + mempool::CoreState>(session: &SimSess
     }
 }
 
-fn run_worker(spec: &mempool_serve::RunSpec, ckpt: &Path) -> ExitCode {
+fn run_worker(spec: &mempool_serve::RunSpec, ckpt: &Path, park: &AtomicBool) -> ExitCode {
     let config = match parse_config_spec(&spec.config_spec) {
         Ok(config) => config,
         Err(e) => return fail(&e),
@@ -265,7 +239,7 @@ fn run_worker(spec: &mempool_serve::RunSpec, ckpt: &Path) -> ExitCode {
         }
     }
     loop {
-        if parked() {
+        if park.load(Ordering::SeqCst) {
             if let Err(e) = session.park(ckpt) {
                 return fail(&format!("parking checkpoint: {e}"));
             }
@@ -311,7 +285,7 @@ fn run_worker(spec: &mempool_serve::RunSpec, ckpt: &Path) -> ExitCode {
     }
 }
 
-fn campaign_worker(spec: &mempool_serve::CampaignSpec, ckpt: &Path) -> ExitCode {
+fn campaign_worker(spec: &mempool_serve::CampaignSpec, ckpt: &Path, park: &AtomicBool) -> ExitCode {
     let config = match parse_config_spec(&spec.config_spec) {
         Ok(config) => config,
         Err(e) => return fail(&e),
@@ -350,7 +324,7 @@ fn campaign_worker(spec: &mempool_serve::CampaignSpec, ckpt: &Path) -> ExitCode 
             cancel: spec
                 .cycle_budget
                 .map(|budget| CancelToken::new().with_cycle_limit(budget)),
-            interrupt: Some(&sig::INTERRUPTED),
+            interrupt: Some(park),
             heartbeat: Some(&mut beat),
             sanitize: None,
         };
@@ -413,7 +387,7 @@ fn campaign_worker(spec: &mempool_serve::CampaignSpec, ckpt: &Path) -> ExitCode 
     ExitCode::SUCCESS
 }
 
-fn bench_worker(spec: &mempool_serve::BenchSpec) -> ExitCode {
+fn bench_worker(spec: &mempool_serve::BenchSpec, park: &AtomicBool) -> ExitCode {
     let config = BenchConfig {
         cycles: spec.cycles,
         warmup: spec.warmup,
@@ -421,7 +395,7 @@ fn bench_worker(spec: &mempool_serve::BenchSpec) -> ExitCode {
     };
     // Bench points are wall-clock measurements — there is nothing to
     // checkpoint. A park simply reruns the matrix after resume.
-    match run_bench_supervised(&config, Some(&sig::INTERRUPTED)) {
+    match run_bench_supervised(&config, Some(park)) {
         Ok((report, true)) => {
             println!("parked {}", report.points.len());
             ExitCode::from(3)

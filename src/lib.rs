@@ -7,6 +7,8 @@
 //! Start from [`mempool`] (the cluster simulator) or the repository
 //! README.
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod error;
 
