@@ -46,13 +46,15 @@ impl RefillRing {
         }
     }
 
+    /// Advances the ring one cycle; returns the number of refills it
+    /// completed.
     fn cycle(
         &mut self,
         tiles: &mut [Tile],
         now: u64,
         faults: Option<&FaultPlan>,
         fstats: &mut FaultStats,
-    ) {
+    ) -> u64 {
         // Injected ring faults: lost flits vanish from their slot; any
         // stalled slot freezes the whole (bufferless, synchronous) ring for
         // the cycle.
@@ -76,9 +78,11 @@ impl RefillRing {
             self.ring.advance();
         }
         // Responses arriving at tiles install their lines.
+        let mut completed = 0;
         for (t, tile) in tiles.iter_mut().enumerate() {
             while let Some(pkt) = self.ring.eject(t) {
                 tile.complete_refill(pkt.line);
+                completed += 1;
             }
         }
         // Requests arriving at L2 start their access.
@@ -102,6 +106,7 @@ impl RefillRing {
                 }
             }
         }
+        completed
     }
 }
 
@@ -1085,19 +1090,19 @@ impl<C: Core> Cluster<C> {
         }
 
         // 1. I-cache refill transport (fixed-latency ports or the ring).
-        match &mut self.refill_ring {
-            None => {
-                for tile in &mut self.tiles {
-                    tile.refill_tick(now);
-                }
-            }
+        self.stats.icache_refills += match &mut self.refill_ring {
+            None => self
+                .tiles
+                .iter_mut()
+                .map(|tile| u64::from(tile.refill_tick(now)))
+                .sum(),
             Some(ring) => ring.cycle(
                 &mut self.tiles,
                 now,
                 self.faults.as_ref(),
                 &mut self.stats.faults,
             ),
-        }
+        };
 
         // 2. Response phase: master response registers deliver; tile
         //    response crossbars route bank responses toward cores or remote
@@ -1151,7 +1156,7 @@ impl<C: Core> Cluster<C> {
                 let (cores, tiles) = (&mut self.cores, &mut self.tiles);
                 let image = &self.image;
                 let tile = &mut tiles[tile_idx];
-                cores[c].step(&mut |pc| tile.fetch(pc, image, now), ready)
+                cores[c].step(&mut |pc| tile.fetch(pc, image), ready)
             };
             if let Some(dr) = issued {
                 debug_assert!(ready, "core issued against backpressure");
@@ -1264,7 +1269,6 @@ impl<C: Core> Cluster<C> {
                     t,
                     latches,
                     &self.map,
-                    now,
                     &tile_gate,
                     &mut self.stats.faults.requests_dropped,
                 );
@@ -1325,7 +1329,6 @@ impl<C: Core> Cluster<C> {
     /// at the end of the request phase.)
     fn finish_cycle(&mut self, now: u64) {
         self.net.commit();
-        self.stats.icache_refills = self.tiles.iter().map(Tile::refills).sum();
         let (occupied, total) = self.net.occupancy();
         self.stats.net_occupancy_sum += occupied;
         self.stats.net_register_slots = total;

@@ -17,7 +17,7 @@
 use crate::tile::{BankGate, Tile};
 use crate::{ClusterConfig, Request, Response, Topology};
 use mempool_mem::AddressMap;
-use mempool_noc::{ElasticBuffer, Fabric, Offer, RoundRobin};
+use mempool_noc::{ElasticBuffer, Fabric, Offer, RegFile, RoundRobin};
 
 /// Direction indices for TopH ports: L is port 0, then N/NE/E.
 const DIR_PARTNER_XOR: [usize; 3] = [2, 3, 1]; // N, NE, E
@@ -121,50 +121,40 @@ impl Net {
     /// Visits every register stage of the global interconnect with a stable
     /// link id (construction order), so a seeded fault plan addresses the
     /// same physical register every run. The ideal network has no registers
-    /// and is never visited.
+    /// and is never visited. Each register file is visited through
+    /// [`RegFile::edit`], since the visitor may stall, drop or corrupt.
     pub fn for_each_link(&mut self, f: &mut dyn FnMut(u64, LinkRef<'_>)) {
+        fn visit<T>(
+            file: &mut RegFile<T>,
+            wrap: for<'a> fn(&'a mut ElasticBuffer<T>) -> LinkRef<'a>,
+            id: &mut u64,
+            f: &mut dyn FnMut(u64, LinkRef<'_>),
+        ) {
+            file.edit(|regs| {
+                for reg in regs {
+                    f(*id, wrap(reg));
+                    *id += 1;
+                }
+            });
+        }
         let mut id = 0u64;
         match self {
             Net::Ideal(_) => {}
             Net::Global(n) => {
-                for reg in &mut n.master_req {
-                    f(id, LinkRef::Req(reg));
-                    id += 1;
-                }
-                for reg in &mut n.master_resp {
-                    f(id, LinkRef::Resp(reg));
-                    id += 1;
-                }
+                visit(&mut n.master_req, |b| LinkRef::Req(b), &mut id, f);
+                visit(&mut n.master_resp, |b| LinkRef::Resp(b), &mut id, f);
                 for port in &mut n.mid_req {
-                    for reg in port {
-                        f(id, LinkRef::Req(reg));
-                        id += 1;
-                    }
+                    visit(port, |b| LinkRef::Req(b), &mut id, f);
                 }
                 for port in &mut n.mid_resp {
-                    for reg in port {
-                        f(id, LinkRef::Resp(reg));
-                        id += 1;
-                    }
+                    visit(port, |b| LinkRef::Resp(b), &mut id, f);
                 }
             }
             Net::Hier(n) => {
-                for reg in &mut n.master_req {
-                    f(id, LinkRef::Req(reg));
-                    id += 1;
-                }
-                for reg in &mut n.master_resp {
-                    f(id, LinkRef::Resp(reg));
-                    id += 1;
-                }
-                for reg in &mut n.boundary_req {
-                    f(id, LinkRef::Req(reg));
-                    id += 1;
-                }
-                for reg in &mut n.boundary_resp {
-                    f(id, LinkRef::Resp(reg));
-                    id += 1;
-                }
+                visit(&mut n.master_req, |b| LinkRef::Req(b), &mut id, f);
+                visit(&mut n.master_resp, |b| LinkRef::Resp(b), &mut id, f);
+                visit(&mut n.boundary_req, |b| LinkRef::Req(b), &mut id, f);
+                visit(&mut n.boundary_resp, |b| LinkRef::Resp(b), &mut id, f);
             }
         }
     }
@@ -174,100 +164,61 @@ impl Net {
     /// observability counters of that stage. Used to build the
     /// `cluster/link{id}` scopes of the metrics registry.
     pub fn for_each_link_stats(&self, f: &mut dyn FnMut(u64, LinkStatView)) {
-        fn req<T>(b: &ElasticBuffer<T>) -> LinkStatView {
-            LinkStatView {
-                occupancy: b.len() as u64,
-                pushes: b.pushes(),
-                is_req: true,
-            }
-        }
-        fn resp<T>(b: &ElasticBuffer<T>) -> LinkStatView {
-            LinkStatView {
-                occupancy: b.len() as u64,
-                pushes: b.pushes(),
-                is_req: false,
+        fn visit<T>(
+            file: &RegFile<T>,
+            is_req: bool,
+            id: &mut u64,
+            f: &mut dyn FnMut(u64, LinkStatView),
+        ) {
+            for reg in file.regs() {
+                let view = LinkStatView {
+                    occupancy: reg.len() as u64,
+                    pushes: reg.pushes(),
+                    is_req,
+                };
+                f(*id, view);
+                *id += 1;
             }
         }
         let mut id = 0u64;
         match self {
             Net::Ideal(_) => {}
             Net::Global(n) => {
-                for reg in &n.master_req {
-                    f(id, req(reg));
-                    id += 1;
-                }
-                for reg in &n.master_resp {
-                    f(id, resp(reg));
-                    id += 1;
-                }
+                visit(&n.master_req, true, &mut id, f);
+                visit(&n.master_resp, false, &mut id, f);
                 for port in &n.mid_req {
-                    for reg in port {
-                        f(id, req(reg));
-                        id += 1;
-                    }
+                    visit(port, true, &mut id, f);
                 }
                 for port in &n.mid_resp {
-                    for reg in port {
-                        f(id, resp(reg));
-                        id += 1;
-                    }
+                    visit(port, false, &mut id, f);
                 }
             }
             Net::Hier(n) => {
-                for reg in &n.master_req {
-                    f(id, req(reg));
-                    id += 1;
-                }
-                for reg in &n.master_resp {
-                    f(id, resp(reg));
-                    id += 1;
-                }
-                for reg in &n.boundary_req {
-                    f(id, req(reg));
-                    id += 1;
-                }
-                for reg in &n.boundary_resp {
-                    f(id, resp(reg));
-                    id += 1;
-                }
+                visit(&n.master_req, true, &mut id, f);
+                visit(&n.master_resp, false, &mut id, f);
+                visit(&n.boundary_req, true, &mut id, f);
+                visit(&n.boundary_resp, false, &mut id, f);
             }
         }
     }
 
     /// (occupied, total) register slots across the global interconnect —
-    /// the buffer-occupancy congestion metric.
+    /// the buffer-occupancy congestion metric. O(1) in the register count:
+    /// every register file keeps both as counters.
     pub fn occupancy(&self) -> (u64, u64) {
-        fn count<T>(regs: &[ElasticBuffer<T>]) -> (u64, u64) {
-            let occupied = regs.iter().map(|r| r.len() as u64).sum();
-            let total = regs.iter().map(|r| r.capacity() as u64).sum();
-            (occupied, total)
+        fn add<T>(acc: (u64, u64), file: &RegFile<T>) -> (u64, u64) {
+            (acc.0 + file.occupied() as u64, acc.1 + file.slots() as u64)
         }
         match self {
             Net::Ideal(_) => (0, 0),
             Net::Global(n) => {
-                let mut acc = count(&n.master_req);
-                let r = count(&n.master_resp);
-                acc = (acc.0 + r.0, acc.1 + r.1);
-                for port in &n.mid_req {
-                    let m = count(port);
-                    acc = (acc.0 + m.0, acc.1 + m.1);
-                }
-                for port in &n.mid_resp {
-                    let m = count(port);
-                    acc = (acc.0 + m.0, acc.1 + m.1);
-                }
-                acc
+                let acc = add(add((0, 0), &n.master_req), &n.master_resp);
+                let acc = n.mid_req.iter().fold(acc, add);
+                n.mid_resp.iter().fold(acc, add)
             }
             Net::Hier(n) => {
-                let mut acc = count(&n.master_req);
-                for part in [
-                    count(&n.master_resp),
-                    count(&n.boundary_req),
-                    count(&n.boundary_resp),
-                ] {
-                    acc = (acc.0 + part.0, acc.1 + part.1);
-                }
-                acc
+                let acc = add(add((0, 0), &n.master_req), &n.master_resp);
+                add(add(acc, &n.boundary_req), &n.boundary_resp)
             }
         }
     }
@@ -283,6 +234,10 @@ pub(crate) struct IdealNet {
     /// One arbiter per global bank, over all cores.
     pub(crate) rr: Vec<RoundRobin>,
     banks_per_tile: usize,
+    /// Scratch reused every cycle: (global bank, core) contenders, and the
+    /// cores contending for one bank.
+    contenders: Vec<(usize, usize)>,
+    cores: Vec<usize>,
 }
 
 impl IdealNet {
@@ -292,6 +247,8 @@ impl IdealNet {
                 .map(|_| RoundRobin::new(config.num_cores()))
                 .collect(),
             banks_per_tile: config.banks_per_tile,
+            contenders: Vec::new(),
+            cores: Vec::new(),
         }
     }
 
@@ -310,7 +267,8 @@ impl IdealNet {
         dropped: &mut u64,
     ) -> u64 {
         // Bucket contenders per global bank.
-        let mut contenders: Vec<(usize, usize)> = Vec::new(); // (bank, core)
+        let contenders = &mut self.contenders;
+        contenders.clear();
         for (core, latch) in latches.iter().enumerate() {
             if let Some(req) = latch {
                 let at = map.decode(req.addr).expect("validated at issue");
@@ -329,23 +287,23 @@ impl IdealNet {
             }
             let tile = bank / self.banks_per_tile;
             let bank_in_tile = bank % self.banks_per_tile;
+            let cores = &mut self.cores;
+            cores.clear();
+            cores.extend(contenders[i..j].iter().map(|&(_, c)| c));
             match gate(tile, bank_in_tile as u32) {
                 BankGate::Stalled => {}
                 BankGate::Dead => {
-                    let cores: Vec<usize> = contenders[i..j].iter().map(|&(_, c)| c).collect();
-                    let winner = self.rr[bank].grant(&cores).expect("nonempty");
+                    let winner = self.rr[bank].grant(cores).expect("nonempty");
                     latches[winner].take().expect("contender had a request");
                     *dropped += 1;
                 }
                 BankGate::Ready => {
                     if tiles[tile].bank_resp[bank_in_tile].can_push() {
-                        let cores: Vec<usize> =
-                            contenders[i..j].iter().map(|&(_, c)| c).collect();
-                        let winner = self.rr[bank].grant(&cores).expect("nonempty");
+                        let winner = self.rr[bank].grant(cores).expect("nonempty");
                         let req = latches[winner].take().expect("contender had a request");
                         let at = map.decode(req.addr).expect("validated");
                         let resp = crate::tile::ideal_bank_access(&mut tiles[tile], &req, at);
-                        tiles[tile].bank_resp[bank_in_tile].push(resp);
+                        tiles[tile].bank_resp.push(bank_in_tile, resp);
                         tile_accesses[tile] += 1;
                         accesses += 1;
                     }
@@ -358,8 +316,11 @@ impl IdealNet {
 
     fn deliver(&mut self, tiles: &mut [Tile], deliveries: &mut Vec<Response>) {
         for tile in tiles {
-            for reg in &mut tile.bank_resp {
-                if let Some(resp) = reg.pop() {
+            if tile.bank_resp.is_idle() {
+                continue;
+            }
+            for bank in 0..tile.bank_resp.regs().len() {
+                if let Some(resp) = tile.bank_resp.pop(bank) {
                     deliveries.push(resp);
                 }
             }
@@ -379,18 +340,22 @@ pub(crate) struct GlobalNet {
     concentrate: bool,
     pub(crate) rr_concentrator: Vec<RoundRobin>,
     /// `[tile * ports + p]`.
-    pub(crate) master_req: Vec<ElasticBuffer<Request>>,
-    pub(crate) master_resp: Vec<ElasticBuffer<Response>>,
+    pub(crate) master_req: RegFile<Request>,
+    pub(crate) master_resp: RegFile<Response>,
     /// Per port: request butterfly segment A (or the whole network when it
     /// has a single layer).
     pub(crate) req_a: Vec<Fabric>,
     pub(crate) req_b: Vec<Fabric>,
     /// `[port][row]` mid-stage pipeline registers (empty when unsplit).
-    pub(crate) mid_req: Vec<Vec<ElasticBuffer<Request>>>,
+    pub(crate) mid_req: Vec<RegFile<Request>>,
     pub(crate) resp_a: Vec<Fabric>,
     pub(crate) resp_b: Vec<Fabric>,
-    pub(crate) mid_resp: Vec<Vec<ElasticBuffer<Response>>>,
+    pub(crate) mid_resp: Vec<RegFile<Response>>,
     split: bool,
+    /// Stage scratch reused every cycle: the offers presented and the
+    /// register, tile or lane each one comes from.
+    offers: Vec<Offer>,
+    srcs: Vec<usize>,
 }
 
 fn butterfly_layer_count(ports: usize, radix: usize) -> usize {
@@ -421,13 +386,13 @@ impl GlobalNet {
                 req_b.push(Fabric::butterfly_segment(n, config.radix, mid, k).expect("validated"));
                 resp_a.push(Fabric::butterfly_segment(n, config.radix, 0, mid).expect("validated"));
                 resp_b.push(Fabric::butterfly_segment(n, config.radix, mid, k).expect("validated"));
-                mid_req.push((0..n).map(|_| ElasticBuffer::new(2)).collect());
-                mid_resp.push((0..n).map(|_| ElasticBuffer::new(2)).collect());
+                mid_req.push(RegFile::new(n, 2));
+                mid_resp.push(RegFile::new(n, 2));
             } else {
                 req_a.push(Fabric::butterfly(n, config.radix).expect("validated"));
                 resp_a.push(Fabric::butterfly(n, config.radix).expect("validated"));
-                mid_req.push(Vec::new());
-                mid_resp.push(Vec::new());
+                mid_req.push(RegFile::new(0, 2));
+                mid_resp.push(RegFile::new(0, 2));
             }
         }
         GlobalNet {
@@ -436,8 +401,8 @@ impl GlobalNet {
             ports,
             concentrate,
             rr_concentrator: (0..n).map(|_| RoundRobin::new(config.cores_per_tile)).collect(),
-            master_req: (0..n * ports).map(|_| ElasticBuffer::new(2)).collect(),
-            master_resp: (0..n * ports).map(|_| ElasticBuffer::new(2)).collect(),
+            master_req: RegFile::new(n * ports, 2),
+            master_resp: RegFile::new(n * ports, 2),
             req_a,
             req_b,
             mid_req,
@@ -445,39 +410,47 @@ impl GlobalNet {
             resp_b,
             mid_resp,
             split,
+            offers: Vec::with_capacity(n),
+            srcs: Vec::with_capacity(n),
         }
     }
 
     fn route_longhaul(&mut self, tiles: &mut [Tile], map: &AddressMap) {
+        let (offers, srcs) = (&mut self.offers, &mut self.srcs);
         for p in 0..self.ports {
             if self.split {
                 // Segment B: mid registers -> destination tile slave latches.
-                let mut offers = Vec::new();
-                let mut rows = Vec::new();
-                for (row, reg) in self.mid_req[p].iter().enumerate() {
-                    if let Some(req) = reg.head() {
-                        let at = map.decode(req.addr).expect("validated");
-                        offers.push(Offer {
-                            input: row,
-                            dest: at.tile as usize,
-                        });
-                        rows.push(row);
-                    }
-                }
-                if !offers.is_empty() {
-                    let granted = self.req_b[p]
-                        .resolve(&offers, &mut |tile| tiles[tile].slave_req[p].is_none());
-                    for (i, &g) in granted.iter().enumerate() {
-                        if g {
-                            let req = self.mid_req[p][rows[i]].pop().expect("head existed");
+                if !self.mid_req[p].is_idle() {
+                    offers.clear();
+                    srcs.clear();
+                    for (row, reg) in self.mid_req[p].regs().iter().enumerate() {
+                        if let Some(req) = reg.head() {
                             let at = map.decode(req.addr).expect("validated");
-                            tiles[at.tile as usize].slave_req[p] = Some(req);
+                            offers.push(Offer {
+                                input: row,
+                                dest: at.tile as usize,
+                            });
+                            srcs.push(row);
+                        }
+                    }
+                    if !offers.is_empty() {
+                        let granted = self.req_b[p]
+                            .resolve(offers, &mut |tile| tiles[tile].slave_req[p].is_none());
+                        for (i, &g) in granted.iter().enumerate() {
+                            if g {
+                                let req = self.mid_req[p].pop(srcs[i]).expect("head existed");
+                                let at = map.decode(req.addr).expect("validated");
+                                tiles[at.tile as usize].slave_req[p] = Some(req);
+                            }
                         }
                     }
                 }
                 // Segment A: master request registers -> mid registers.
-                let mut offers = Vec::new();
-                let mut srcs = Vec::new();
+                if self.master_req.is_idle() {
+                    continue;
+                }
+                offers.clear();
+                srcs.clear();
                 for tile in 0..self.num_tiles {
                     let reg = &self.master_req[tile * self.ports + p];
                     if let Some(req) = reg.head() {
@@ -491,22 +464,26 @@ impl GlobalNet {
                 }
                 if !offers.is_empty() {
                     let mid = &self.mid_req[p];
-                    let granted = self.req_a[p].resolve(&offers, &mut |row| mid[row].can_push());
-                    for (i, &g) in granted.iter().enumerate() {
+                    self.req_a[p].resolve(offers, &mut |row| mid[row].can_push());
+                    let fabric = &self.req_a[p];
+                    for (i, &g) in fabric.granted().iter().enumerate() {
                         if g {
-                            let offer = offers[i];
-                            let row = self.req_a[p].output_port(offer.input, offer.dest);
-                            let req = self.master_req[srcs[i] * self.ports + p]
-                                .pop()
+                            let row = fabric.output_port(offers[i].input, offers[i].dest);
+                            let req = self
+                                .master_req
+                                .pop(srcs[i] * self.ports + p)
                                 .expect("head existed");
-                            self.mid_req[p][row].push(req);
+                            self.mid_req[p].push(row, req);
                         }
                     }
                 }
             } else {
                 // Single-layer network: master registers -> slave latches.
-                let mut offers = Vec::new();
-                let mut srcs = Vec::new();
+                if self.master_req.is_idle() {
+                    continue;
+                }
+                offers.clear();
+                srcs.clear();
                 for tile in 0..self.num_tiles {
                     if let Some(req) = self.master_req[tile * self.ports + p].head() {
                         let at = map.decode(req.addr).expect("validated");
@@ -519,11 +496,12 @@ impl GlobalNet {
                 }
                 if !offers.is_empty() {
                     let granted = self.req_a[p]
-                        .resolve(&offers, &mut |tile| tiles[tile].slave_req[p].is_none());
+                        .resolve(offers, &mut |tile| tiles[tile].slave_req[p].is_none());
                     for (i, &g) in granted.iter().enumerate() {
                         if g {
-                            let req = self.master_req[srcs[i] * self.ports + p]
-                                .pop()
+                            let req = self
+                                .master_req
+                                .pop(srcs[i] * self.ports + p)
                                 .expect("head existed");
                             let at = map.decode(req.addr).expect("validated");
                             tiles[at.tile as usize].slave_req[p] = Some(req);
@@ -538,11 +516,12 @@ impl GlobalNet {
         let cpt = self.cores_per_tile;
         for tile in 0..self.num_tiles {
             if self.concentrate {
-                let reg = &mut self.master_req[tile * self.ports];
-                if !reg.can_push() {
+                let reg = tile * self.ports;
+                if !self.master_req[reg].can_push() {
                     continue;
                 }
-                let mut lanes = Vec::new();
+                let lanes = &mut self.srcs;
+                lanes.clear();
                 for lane in 0..cpt {
                     if let Some(req) = &latches[tile * cpt + lane] {
                         let at = map.decode(req.addr).expect("validated");
@@ -551,9 +530,9 @@ impl GlobalNet {
                         }
                     }
                 }
-                if let Some(winner) = self.rr_concentrator[tile].grant(&lanes) {
+                if let Some(winner) = self.rr_concentrator[tile].grant(lanes) {
                     let req = latches[tile * cpt + winner].take().expect("lane had request");
-                    reg.push(req);
+                    self.master_req.push(reg, req);
                 }
             } else {
                 for lane in 0..cpt {
@@ -564,10 +543,10 @@ impl GlobalNet {
                     if at.tile as usize == tile {
                         continue;
                     }
-                    let reg = &mut self.master_req[tile * self.ports + lane];
-                    if reg.can_push() {
+                    let reg = tile * self.ports + lane;
+                    if self.master_req[reg].can_push() {
                         latches[tile * cpt + lane] = None;
-                        reg.push(req);
+                        self.master_req.push(reg, req);
                     }
                 }
             }
@@ -575,36 +554,39 @@ impl GlobalNet {
     }
 
     fn route_responses(&mut self, tiles: &mut [Tile], cores_per_tile: usize) {
+        let (offers, srcs) = (&mut self.offers, &mut self.srcs);
         for p in 0..self.ports {
             if self.split {
                 // Segment B': mid response registers -> master response regs.
-                let mut offers = Vec::new();
-                let mut rows = Vec::new();
-                for (row, reg) in self.mid_resp[p].iter().enumerate() {
-                    if let Some(resp) = reg.head() {
-                        offers.push(Offer {
-                            input: row,
-                            dest: resp.core as usize / cores_per_tile,
-                        });
-                        rows.push(row);
+                if !self.mid_resp[p].is_idle() {
+                    offers.clear();
+                    srcs.clear();
+                    for (row, reg) in self.mid_resp[p].regs().iter().enumerate() {
+                        if let Some(resp) = reg.head() {
+                            offers.push(Offer {
+                                input: row,
+                                dest: resp.core as usize / cores_per_tile,
+                            });
+                            srcs.push(row);
+                        }
                     }
-                }
-                if !offers.is_empty() {
-                    let master = &self.master_resp;
-                    let ports = self.ports;
-                    let granted = self.resp_b[p]
-                        .resolve(&offers, &mut |tile| master[tile * ports + p].can_push());
-                    for (i, &g) in granted.iter().enumerate() {
-                        if g {
-                            let resp = self.mid_resp[p][rows[i]].pop().expect("head existed");
-                            let tile = resp.core as usize / cores_per_tile;
-                            self.master_resp[tile * self.ports + p].push(resp);
+                    if !offers.is_empty() {
+                        let master = &self.master_resp;
+                        let ports = self.ports;
+                        let granted = self.resp_b[p]
+                            .resolve(offers, &mut |tile| master[tile * ports + p].can_push());
+                        for (i, &g) in granted.iter().enumerate() {
+                            if g {
+                                let resp = self.mid_resp[p].pop(srcs[i]).expect("head existed");
+                                let tile = resp.core as usize / cores_per_tile;
+                                self.master_resp.push(tile * self.ports + p, resp);
+                            }
                         }
                     }
                 }
                 // Segment A': tile response-out latches -> mid registers.
-                let mut offers = Vec::new();
-                let mut srcs = Vec::new();
+                offers.clear();
+                srcs.clear();
                 for (tile, t) in tiles.iter().enumerate() {
                     if let Some(resp) = &t.resp_out[p] {
                         offers.push(Offer {
@@ -616,19 +598,19 @@ impl GlobalNet {
                 }
                 if !offers.is_empty() {
                     let mid = &self.mid_resp[p];
-                    let granted = self.resp_a[p].resolve(&offers, &mut |row| mid[row].can_push());
-                    for (i, &g) in granted.iter().enumerate() {
+                    self.resp_a[p].resolve(offers, &mut |row| mid[row].can_push());
+                    let fabric = &self.resp_a[p];
+                    for (i, &g) in fabric.granted().iter().enumerate() {
                         if g {
-                            let offer = offers[i];
-                            let row = self.resp_a[p].output_port(offer.input, offer.dest);
+                            let row = fabric.output_port(offers[i].input, offers[i].dest);
                             let resp = tiles[srcs[i]].resp_out[p].take().expect("latch full");
-                            self.mid_resp[p][row].push(resp);
+                            self.mid_resp[p].push(row, resp);
                         }
                     }
                 }
             } else {
-                let mut offers = Vec::new();
-                let mut srcs = Vec::new();
+                offers.clear();
+                srcs.clear();
                 for (tile, t) in tiles.iter().enumerate() {
                     if let Some(resp) = &t.resp_out[p] {
                         offers.push(Offer {
@@ -642,12 +624,12 @@ impl GlobalNet {
                     let master = &self.master_resp;
                     let ports = self.ports;
                     let granted = self.resp_a[p]
-                        .resolve(&offers, &mut |tile| master[tile * ports + p].can_push());
+                        .resolve(offers, &mut |tile| master[tile * ports + p].can_push());
                     for (i, &g) in granted.iter().enumerate() {
                         if g {
                             let resp = tiles[srcs[i]].resp_out[p].take().expect("latch full");
                             let tile = resp.core as usize / cores_per_tile;
-                            self.master_resp[tile * self.ports + p].push(resp);
+                            self.master_resp.push(tile * self.ports + p, resp);
                         }
                     }
                 }
@@ -656,29 +638,30 @@ impl GlobalNet {
     }
 
     fn deliver(&mut self, deliveries: &mut Vec<Response>) {
-        for reg in &mut self.master_resp {
-            if let Some(resp) = reg.pop() {
-                deliveries.push(resp);
-            }
-        }
+        deliver_heads(&mut self.master_resp, deliveries);
     }
 
     fn commit(&mut self) {
-        for reg in &mut self.master_req {
-            reg.commit();
-        }
-        for reg in &mut self.master_resp {
-            reg.commit();
-        }
+        self.master_req.commit();
+        self.master_resp.commit();
         for port in &mut self.mid_req {
-            for reg in port {
-                reg.commit();
-            }
+            port.commit();
         }
         for port in &mut self.mid_resp {
-            for reg in port {
-                reg.commit();
-            }
+            port.commit();
+        }
+    }
+}
+
+/// Pops every master response register's head into `deliveries`, in
+/// register order.
+fn deliver_heads(master_resp: &mut RegFile<Response>, deliveries: &mut Vec<Response>) {
+    if master_resp.is_idle() {
+        return;
+    }
+    for reg in 0..master_resp.regs().len() {
+        if let Some(resp) = master_resp.pop(reg) {
+            deliveries.push(resp);
         }
     }
 }
@@ -695,18 +678,34 @@ pub(crate) struct HierNet {
     /// Per tile: crossbar (cores × 4 ports) routing requests to L/N/NE/E.
     pub(crate) port_router: Vec<Fabric>,
     /// `[tile * 4 + port]`, port 0 = L, 1 = N, 2 = NE, 3 = E.
-    pub(crate) master_req: Vec<ElasticBuffer<Request>>,
-    pub(crate) master_resp: Vec<ElasticBuffer<Response>>,
+    pub(crate) master_req: RegFile<Request>,
+    pub(crate) master_resp: RegFile<Response>,
     /// Per group: the 16×16 fully-connected local crossbars.
     pub(crate) local_req: Vec<Fabric>,
     pub(crate) local_resp: Vec<Fabric>,
     /// `[(group * 3 + dir) * tiles_per_group + row]`, dir 0 = N, 1 = NE,
     /// 2 = E: the register boundary at the group's master interface.
-    pub(crate) boundary_req: Vec<ElasticBuffer<Request>>,
-    pub(crate) boundary_resp: Vec<ElasticBuffer<Response>>,
+    pub(crate) boundary_req: RegFile<Request>,
+    pub(crate) boundary_resp: RegFile<Response>,
     /// Per (group, dir): the 16×16 radix-4 butterflies.
     pub(crate) inter_req: Vec<Fabric>,
     pub(crate) inter_resp: Vec<Fabric>,
+    /// Stage scratch reused every cycle: the offers presented and the
+    /// register row, tile or lane each one comes from.
+    offers: Vec<Offer>,
+    srcs: Vec<usize>,
+}
+
+/// The tile port (0 = L, 1 = N, 2 = NE, 3 = E) linking groups `gs` and
+/// `gd`.
+fn group_port(gs: usize, gd: usize) -> usize {
+    match gs ^ gd {
+        0 => 0, // L
+        2 => 1, // N
+        3 => 2, // NE
+        1 => 3, // E
+        _ => unreachable!("four groups"),
+    }
 }
 
 #[allow(clippy::needless_range_loop)] // `d` indexes three parallel tables
@@ -723,18 +722,20 @@ impl HierNet {
             port_router: (0..n)
                 .map(|_| Fabric::crossbar(config.cores_per_tile, 4).expect("validated"))
                 .collect(),
-            master_req: (0..n * 4).map(|_| ElasticBuffer::new(2)).collect(),
-            master_resp: (0..n * 4).map(|_| ElasticBuffer::new(2)).collect(),
+            master_req: RegFile::new(n * 4, 2),
+            master_resp: RegFile::new(n * 4, 2),
             local_req: (0..groups)
                 .map(|_| Fabric::crossbar(tpg, tpg).expect("validated"))
                 .collect(),
             local_resp: (0..groups)
                 .map(|_| Fabric::crossbar(tpg, tpg).expect("validated"))
                 .collect(),
-            boundary_req: (0..groups * 3 * tpg).map(|_| ElasticBuffer::new(2)).collect(),
-            boundary_resp: (0..groups * 3 * tpg).map(|_| ElasticBuffer::new(2)).collect(),
+            boundary_req: RegFile::new(groups * 3 * tpg, 2),
+            boundary_resp: RegFile::new(groups * 3 * tpg, 2),
             inter_req: (0..groups * 3).map(|_| mk_bfly()).collect(),
             inter_resp: (0..groups * 3).map(|_| mk_bfly()).collect(),
+            offers: Vec::with_capacity(tpg.max(config.cores_per_tile)),
+            srcs: Vec::with_capacity(tpg.max(config.cores_per_tile)),
         }
     }
 
@@ -746,58 +747,56 @@ impl HierNet {
     /// `src`. Must not be called for `src == dst` (local-bank traffic skips
     /// the remote ports).
     pub fn port_for(&self, src: usize, dst: usize) -> usize {
-        let gs = self.group_of(src);
-        let gd = self.group_of(dst);
-        match gs ^ gd {
-            0 => 0,                 // L
-            2 => 1,                 // N
-            3 => 2,                 // NE
-            1 => 3,                 // E
-            _ => unreachable!("four groups"),
-        }
+        group_port(self.group_of(src), self.group_of(dst))
     }
 
     fn route_longhaul(&mut self, tiles: &mut [Tile], map: &AddressMap) {
         let tpg = self.tiles_per_group;
         let groups = self.num_tiles / tpg;
+        let (offers, srcs) = (&mut self.offers, &mut self.srcs);
         // Stage: group boundary registers -> inter-group butterflies ->
         // partner-tile slave latches.
-        for g in 0..groups {
-            for d in 0..3 {
-                let partner = g ^ DIR_PARTNER_XOR[d];
-                let base = (g * 3 + d) * tpg;
-                let mut offers = Vec::new();
-                let mut rows = Vec::new();
-                for i in 0..tpg {
-                    if let Some(req) = self.boundary_req[base + i].head() {
-                        let at = map.decode(req.addr).expect("validated");
-                        offers.push(Offer {
-                            input: i,
-                            dest: at.tile as usize % tpg,
-                        });
-                        rows.push(i);
+        if !self.boundary_req.is_idle() {
+            for g in 0..groups {
+                for d in 0..3 {
+                    let partner = g ^ DIR_PARTNER_XOR[d];
+                    let base = (g * 3 + d) * tpg;
+                    offers.clear();
+                    srcs.clear();
+                    for i in 0..tpg {
+                        if let Some(req) = self.boundary_req[base + i].head() {
+                            let at = map.decode(req.addr).expect("validated");
+                            offers.push(Offer {
+                                input: i,
+                                dest: at.tile as usize % tpg,
+                            });
+                            srcs.push(i);
+                        }
                     }
-                }
-                if offers.is_empty() {
-                    continue;
-                }
-                let granted = self.inter_req[g * 3 + d].resolve(&offers, &mut |t| {
-                    tiles[partner * tpg + t].slave_req[d + 1].is_none()
-                });
-                for (i, &gr) in granted.iter().enumerate() {
-                    if gr {
-                        let req = self.boundary_req[base + rows[i]].pop().expect("head");
-                        let at = map.decode(req.addr).expect("validated");
-                        debug_assert_eq!(at.tile as usize / tpg, partner);
-                        tiles[at.tile as usize].slave_req[d + 1] = Some(req);
+                    if offers.is_empty() {
+                        continue;
+                    }
+                    let granted = self.inter_req[g * 3 + d].resolve(offers, &mut |t| {
+                        tiles[partner * tpg + t].slave_req[d + 1].is_none()
+                    });
+                    for (i, &gr) in granted.iter().enumerate() {
+                        if gr {
+                            let req = self.boundary_req.pop(base + srcs[i]).expect("head");
+                            let at = map.decode(req.addr).expect("validated");
+                            debug_assert_eq!(at.tile as usize / tpg, partner);
+                            tiles[at.tile as usize].slave_req[d + 1] = Some(req);
+                        }
                     }
                 }
             }
         }
+        if self.master_req.is_idle() {
+            return;
+        }
         // Stage: local L crossbars (within each group).
         for g in 0..groups {
-            let mut offers = Vec::new();
-            let mut srcs = Vec::new();
+            offers.clear();
+            srcs.clear();
             for i in 0..tpg {
                 let tile = g * tpg + i;
                 if let Some(req) = self.master_req[tile * 4].head() {
@@ -814,10 +813,10 @@ impl HierNet {
                 continue;
             }
             let granted = self.local_req[g]
-                .resolve(&offers, &mut |t| tiles[g * tpg + t].slave_req[0].is_none());
+                .resolve(offers, &mut |t| tiles[g * tpg + t].slave_req[0].is_none());
             for (i, &gr) in granted.iter().enumerate() {
                 if gr {
-                    let req = self.master_req[srcs[i] * 4].pop().expect("head");
+                    let req = self.master_req.pop(srcs[i] * 4).expect("head");
                     let at = map.decode(req.addr).expect("validated");
                     tiles[at.tile as usize].slave_req[0] = Some(req);
                 }
@@ -829,10 +828,10 @@ impl HierNet {
             let g = self.group_of(tile);
             let i = tile % tpg;
             for d in 0..3 {
-                let reg = &mut self.master_req[tile * 4 + 1 + d];
-                let boundary = &mut self.boundary_req[(g * 3 + d) * tpg + i];
-                if reg.head().is_some() && boundary.can_push() {
-                    boundary.push(reg.pop().expect("head"));
+                let (src, dst) = (tile * 4 + 1 + d, (g * 3 + d) * tpg + i);
+                if self.master_req[src].head().is_some() && self.boundary_req[dst].can_push() {
+                    let req = self.master_req.pop(src).expect("head");
+                    self.boundary_req.push(dst, req);
                 }
             }
         }
@@ -840,9 +839,11 @@ impl HierNet {
 
     fn route_ports(&mut self, latches: &mut [Option<Request>], map: &AddressMap) {
         let cpt = self.cores_per_tile;
+        let tpg = self.tiles_per_group;
+        let (offers, lanes) = (&mut self.offers, &mut self.srcs);
         for tile in 0..self.num_tiles {
-            let mut offers = Vec::new();
-            let mut lanes = Vec::new();
+            offers.clear();
+            lanes.clear();
             for lane in 0..cpt {
                 if let Some(req) = &latches[tile * cpt + lane] {
                     let at = map.decode(req.addr).expect("validated");
@@ -850,7 +851,7 @@ impl HierNet {
                     if dst != tile {
                         offers.push(Offer {
                             input: lane,
-                            dest: self.port_for(tile, dst),
+                            dest: group_port(tile / tpg, dst / tpg),
                         });
                         lanes.push(lane);
                     }
@@ -861,11 +862,11 @@ impl HierNet {
             }
             let master = &self.master_req;
             let granted = self.port_router[tile]
-                .resolve(&offers, &mut |port| master[tile * 4 + port].can_push());
+                .resolve(offers, &mut |port| master[tile * 4 + port].can_push());
             for (i, &g) in granted.iter().enumerate() {
                 if g {
                     let req = latches[tile * cpt + lanes[i]].take().expect("lane had request");
-                    self.master_req[tile * 4 + offers[i].dest].push(req);
+                    self.master_req.push(tile * 4 + offers[i].dest, req);
                 }
             }
         }
@@ -874,15 +875,20 @@ impl HierNet {
     fn route_responses(&mut self, tiles: &mut [Tile], cores_per_tile: usize) {
         let tpg = self.tiles_per_group;
         let groups = self.num_tiles / tpg;
+        let (offers, srcs) = (&mut self.offers, &mut self.srcs);
         // Stage: boundary response registers -> tile master response regs
         // (point-to-point).
-        for g in 0..groups {
-            for d in 0..3 {
-                for i in 0..tpg {
-                    let boundary = &mut self.boundary_resp[(g * 3 + d) * tpg + i];
-                    let master = &mut self.master_resp[(g * tpg + i) * 4 + 1 + d];
-                    if boundary.head().is_some() && master.can_push() {
-                        master.push(boundary.pop().expect("head"));
+        if !self.boundary_resp.is_idle() {
+            for g in 0..groups {
+                for d in 0..3 {
+                    for i in 0..tpg {
+                        let (src, dst) = ((g * 3 + d) * tpg + i, (g * tpg + i) * 4 + 1 + d);
+                        if self.boundary_resp[src].head().is_some()
+                            && self.master_resp[dst].can_push()
+                        {
+                            let resp = self.boundary_resp.pop(src).expect("head");
+                            self.master_resp.push(dst, resp);
+                        }
                     }
                 }
             }
@@ -893,8 +899,8 @@ impl HierNet {
             for d in 0..3 {
                 let partner = g ^ DIR_PARTNER_XOR[d];
                 let base = (g * 3 + d) * tpg;
-                let mut offers = Vec::new();
-                let mut srcs = Vec::new();
+                offers.clear();
+                srcs.clear();
                 for i in 0..tpg {
                     let tile = partner * tpg + i;
                     if let Some(resp) = &tiles[tile].resp_out[d + 1] {
@@ -914,20 +920,20 @@ impl HierNet {
                 }
                 let boundary = &self.boundary_resp;
                 let granted = self.inter_resp[g * 3 + d]
-                    .resolve(&offers, &mut |row| boundary[base + row].can_push());
+                    .resolve(offers, &mut |row| boundary[base + row].can_push());
                 for (i, &gr) in granted.iter().enumerate() {
                     if gr {
                         let resp = tiles[srcs[i]].resp_out[d + 1].take().expect("latch");
                         let row = resp.core as usize / cores_per_tile % tpg;
-                        self.boundary_resp[base + row].push(resp);
+                        self.boundary_resp.push(base + row, resp);
                     }
                 }
             }
         }
         // Stage: local L response crossbars.
         for g in 0..groups {
-            let mut offers = Vec::new();
-            let mut srcs = Vec::new();
+            offers.clear();
+            srcs.clear();
             for i in 0..tpg {
                 let tile = g * tpg + i;
                 if let Some(resp) = &tiles[tile].resp_out[0] {
@@ -942,40 +948,28 @@ impl HierNet {
                 continue;
             }
             let master = &self.master_resp;
-            let granted = self.local_resp[g].resolve(&offers, &mut |t| {
+            let granted = self.local_resp[g].resolve(offers, &mut |t| {
                 master[(g * tpg + t) * 4].can_push()
             });
             for (i, &gr) in granted.iter().enumerate() {
                 if gr {
                     let resp = tiles[srcs[i]].resp_out[0].take().expect("latch");
                     let dst = resp.core as usize / cores_per_tile;
-                    self.master_resp[dst * 4].push(resp);
+                    self.master_resp.push(dst * 4, resp);
                 }
             }
         }
     }
 
     fn deliver(&mut self, deliveries: &mut Vec<Response>) {
-        for reg in &mut self.master_resp {
-            if let Some(resp) = reg.pop() {
-                deliveries.push(resp);
-            }
-        }
+        deliver_heads(&mut self.master_resp, deliveries);
     }
 
     fn commit(&mut self) {
-        for reg in &mut self.master_req {
-            reg.commit();
-        }
-        for reg in &mut self.master_resp {
-            reg.commit();
-        }
-        for reg in &mut self.boundary_req {
-            reg.commit();
-        }
-        for reg in &mut self.boundary_resp {
-            reg.commit();
-        }
+        self.master_req.commit();
+        self.master_resp.commit();
+        self.boundary_req.commit();
+        self.boundary_resp.commit();
     }
 }
 

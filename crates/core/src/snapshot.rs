@@ -20,7 +20,7 @@ use crate::faults::{BankFailure, FaultEvent, FaultLog, FaultPlan, FaultSpec};
 use crate::net::Net;
 use crate::tile::Tile;
 use crate::{Cluster, ClusterConfig, Core, Request, Response};
-use mempool_noc::{ElasticBuffer, Fabric, RoundRobin};
+use mempool_noc::{Fabric, RegFile, RoundRobin};
 use mempool_riscv::{AmoOp, LoadOp, Reg, StoreOp};
 use mempool_snitch::profile::{CoreProfile, PcCounters, RegionCounters, REGION_SLOTS};
 use mempool_snitch::{DataRequestKind, SnitchCore};
@@ -447,48 +447,56 @@ fn take_opt_resp(r: &mut ByteReader<'_>) -> Result<Option<Response>, SnapshotErr
 // Structural codecs: elastic buffers, fabrics, arbiters.
 // ---------------------------------------------------------------------------
 
-fn save_ebuf<T>(
+fn save_regs<T>(
     out: &mut dyn StateSink,
-    buf: &ElasticBuffer<T>,
+    file: &RegFile<T>,
     enc: impl Fn(&mut dyn StateSink, &T),
 ) {
-    let stored: Vec<&T> = buf.iter().collect();
-    out.put_u64(stored.len() as u64);
-    for item in stored {
-        enc(out, item);
+    for buf in file.regs() {
+        let stored: Vec<&T> = buf.iter().collect();
+        out.put_u64(stored.len() as u64);
+        for item in stored {
+            enc(out, item);
+        }
+        let arrivals: Vec<&T> = buf.iter_arrivals().collect();
+        out.put_u64(arrivals.len() as u64);
+        for item in arrivals {
+            enc(out, item);
+        }
+        out.put_bool(buf.is_stalled());
+        out.put_u64(buf.pushes());
     }
-    let arrivals: Vec<&T> = buf.iter_arrivals().collect();
-    out.put_u64(arrivals.len() as u64);
-    for item in arrivals {
-        enc(out, item);
-    }
-    out.put_bool(buf.is_stalled());
-    out.put_u64(buf.pushes());
 }
 
-fn load_ebuf<T>(
+/// Restores every register of `file` through [`RegFile::edit`], which
+/// rebuilds its occupancy counter and dirty list from the loaded contents.
+fn load_regs<T>(
     r: &mut ByteReader<'_>,
-    buf: &mut ElasticBuffer<T>,
+    file: &mut RegFile<T>,
     dec: impl Fn(&mut ByteReader<'_>) -> Result<T, SnapshotError>,
 ) -> Result<(), SnapshotError> {
-    let ns = r.take_u64()? as usize;
-    let mut stored = Vec::new();
-    for _ in 0..ns {
-        stored.push(dec(r)?);
-    }
-    let na = r.take_u64()? as usize;
-    let mut arrivals = Vec::new();
-    for _ in 0..na {
-        arrivals.push(dec(r)?);
-    }
-    let stalled = r.take_bool()?;
-    let pushes = r.take_u64()?;
-    if stored.len() + arrivals.len() > buf.capacity() {
-        return Err(SnapshotError::Corrupt("elastic buffer occupancy"));
-    }
-    buf.load(stored, arrivals, stalled);
-    buf.set_pushes(pushes);
-    Ok(())
+    file.edit(|regs| {
+        for buf in regs {
+            let ns = r.take_u64()? as usize;
+            let mut stored = Vec::new();
+            for _ in 0..ns {
+                stored.push(dec(r)?);
+            }
+            let na = r.take_u64()? as usize;
+            let mut arrivals = Vec::new();
+            for _ in 0..na {
+                arrivals.push(dec(r)?);
+            }
+            let stalled = r.take_bool()?;
+            let pushes = r.take_u64()?;
+            if stored.len() + arrivals.len() > buf.capacity() {
+                return Err(SnapshotError::Corrupt("elastic buffer occupancy"));
+            }
+            buf.load(stored, arrivals, stalled);
+            buf.set_pushes(pushes);
+        }
+        Ok(())
+    })
 }
 
 fn save_fabric(out: &mut dyn StateSink, fabric: &Fabric) {
@@ -919,9 +927,7 @@ fn save_tile(out: &mut dyn StateSink, tile: &Tile) {
         }
         out.put_u64(bank.accesses());
     }
-    for reg in &tile.bank_resp {
-        save_ebuf(out, reg, |o, resp| put_resp(o, resp));
-    }
+    save_regs(out, &tile.bank_resp, |o, resp| put_resp(o, resp));
     save_fabric(out, &tile.req_fabric);
     save_fabric(out, &tile.resp_fabric);
     out.put_u64(tile.slave_req.len() as u64);
@@ -979,9 +985,7 @@ fn load_tile(r: &mut ByteReader<'_>, tile: &mut Tile) -> Result<(), SnapshotErro
         bank.load(&words, &reservations);
         bank.set_accesses(r.take_u64()?);
     }
-    for reg in &mut tile.bank_resp {
-        load_ebuf(r, reg, take_resp)?;
-    }
+    load_regs(r, &mut tile.bank_resp, take_resp)?;
     load_fabric(r, &mut tile.req_fabric)?;
     load_fabric(r, &mut tile.resp_fabric)?;
     let ports = r.take_u64()? as usize;
@@ -1032,21 +1036,13 @@ fn save_net(out: &mut dyn StateSink, net: &Net) {
         Net::Ideal(n) => save_rr_list(out, &n.rr),
         Net::Global(n) => {
             save_rr_list(out, &n.rr_concentrator);
-            for reg in &n.master_req {
-                save_ebuf(out, reg, |o, req| put_req(o, req));
-            }
-            for reg in &n.master_resp {
-                save_ebuf(out, reg, |o, resp| put_resp(o, resp));
-            }
+            save_regs(out, &n.master_req, |o, req| put_req(o, req));
+            save_regs(out, &n.master_resp, |o, resp| put_resp(o, resp));
             for port in &n.mid_req {
-                for reg in port {
-                    save_ebuf(out, reg, |o, req| put_req(o, req));
-                }
+                save_regs(out, port, |o, req| put_req(o, req));
             }
             for port in &n.mid_resp {
-                for reg in port {
-                    save_ebuf(out, reg, |o, resp| put_resp(o, resp));
-                }
+                save_regs(out, port, |o, resp| put_resp(o, resp));
             }
             for fabric in n.req_a.iter().chain(&n.req_b).chain(&n.resp_a).chain(&n.resp_b) {
                 save_fabric(out, fabric);
@@ -1056,18 +1052,10 @@ fn save_net(out: &mut dyn StateSink, net: &Net) {
             for fabric in &n.port_router {
                 save_fabric(out, fabric);
             }
-            for reg in &n.master_req {
-                save_ebuf(out, reg, |o, req| put_req(o, req));
-            }
-            for reg in &n.master_resp {
-                save_ebuf(out, reg, |o, resp| put_resp(o, resp));
-            }
-            for reg in &n.boundary_req {
-                save_ebuf(out, reg, |o, req| put_req(o, req));
-            }
-            for reg in &n.boundary_resp {
-                save_ebuf(out, reg, |o, resp| put_resp(o, resp));
-            }
+            save_regs(out, &n.master_req, |o, req| put_req(o, req));
+            save_regs(out, &n.master_resp, |o, resp| put_resp(o, resp));
+            save_regs(out, &n.boundary_req, |o, req| put_req(o, req));
+            save_regs(out, &n.boundary_resp, |o, resp| put_resp(o, resp));
             for fabric in n
                 .local_req
                 .iter()
@@ -1086,21 +1074,13 @@ fn load_net(r: &mut ByteReader<'_>, net: &mut Net) -> Result<(), SnapshotError> 
         Net::Ideal(n) => load_rr_list(r, &mut n.rr)?,
         Net::Global(n) => {
             load_rr_list(r, &mut n.rr_concentrator)?;
-            for reg in &mut n.master_req {
-                load_ebuf(r, reg, take_req)?;
-            }
-            for reg in &mut n.master_resp {
-                load_ebuf(r, reg, take_resp)?;
-            }
+            load_regs(r, &mut n.master_req, take_req)?;
+            load_regs(r, &mut n.master_resp, take_resp)?;
             for port in &mut n.mid_req {
-                for reg in port {
-                    load_ebuf(r, reg, take_req)?;
-                }
+                load_regs(r, port, take_req)?;
             }
             for port in &mut n.mid_resp {
-                for reg in port {
-                    load_ebuf(r, reg, take_resp)?;
-                }
+                load_regs(r, port, take_resp)?;
             }
             for fabric in n
                 .req_a
@@ -1116,18 +1096,10 @@ fn load_net(r: &mut ByteReader<'_>, net: &mut Net) -> Result<(), SnapshotError> 
             for fabric in &mut n.port_router {
                 load_fabric(r, fabric)?;
             }
-            for reg in &mut n.master_req {
-                load_ebuf(r, reg, take_req)?;
-            }
-            for reg in &mut n.master_resp {
-                load_ebuf(r, reg, take_resp)?;
-            }
-            for reg in &mut n.boundary_req {
-                load_ebuf(r, reg, take_req)?;
-            }
-            for reg in &mut n.boundary_resp {
-                load_ebuf(r, reg, take_resp)?;
-            }
+            load_regs(r, &mut n.master_req, take_req)?;
+            load_regs(r, &mut n.master_resp, take_resp)?;
+            load_regs(r, &mut n.boundary_req, take_req)?;
+            load_regs(r, &mut n.boundary_resp, take_resp)?;
             for fabric in n
                 .local_req
                 .iter_mut()

@@ -306,7 +306,8 @@ pub struct ClusterStats {
     pub direction_requests: [u64; 3],
     /// Round-trip latency distribution (issue → response delivery).
     pub latency: LatencyStats,
-    /// I-cache refills performed (all tiles).
+    /// I-cache refills completed (all tiles), counted as they complete;
+    /// restarts with the other statistics.
     pub icache_refills: u64,
     /// Requests dropped because their address fell outside L1 (the issuing
     /// core is halted with a fault).

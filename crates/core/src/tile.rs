@@ -4,7 +4,7 @@
 
 use crate::{ClusterConfig, Request, Response};
 use mempool_mem::{AddressMap, BankOp, ICache, SpmBank};
-use mempool_noc::{ElasticBuffer, Fabric, Offer};
+use mempool_noc::{ElasticBuffer, Fabric, Offer, RegFile};
 use mempool_riscv::{Instr, StoreOp};
 use mempool_snitch::{DataRequestKind, Fetch};
 use std::collections::VecDeque;
@@ -108,7 +108,7 @@ pub(crate) enum BankGate {
 pub(crate) struct Tile {
     pub banks: Vec<SpmBank>,
     /// Per-bank response register (the SPM output register).
-    pub bank_resp: Vec<ElasticBuffer<Response>>,
+    pub bank_resp: RegFile<Response>,
     /// Tile request crossbar: (cores + K remote slaves) × banks.
     pub(crate) req_fabric: Fabric,
     /// Tile response crossbar: banks × (cores + K remote ports).
@@ -120,6 +120,10 @@ pub(crate) struct Tile {
     pub(crate) icache: ICache,
     pub(crate) refill: RefillUnit,
     cores_per_tile: usize,
+    /// Crossbar scratch reused every cycle: the offers presented and the
+    /// master (request) or bank (response) each one comes from.
+    offers: Vec<Offer>,
+    sources: Vec<usize>,
 }
 
 impl Tile {
@@ -129,7 +133,7 @@ impl Tile {
         let banks = config.banks_per_tile;
         Tile {
             banks: (0..banks).map(|_| SpmBank::new(config.rows_per_bank)).collect(),
-            bank_resp: (0..banks).map(|_| ElasticBuffer::new(2)).collect(),
+            bank_resp: RegFile::new(banks, 2),
             req_fabric: Fabric::crossbar(masters.max(1), banks).expect("validated geometry"),
             resp_fabric: Fabric::crossbar(banks, masters.max(1)).expect("validated geometry"),
             slave_req: vec![None; ports],
@@ -148,6 +152,8 @@ impl Tile {
                 refills: 0,
             },
             cores_per_tile: config.cores_per_tile,
+            offers: Vec::with_capacity(masters.max(banks)),
+            sources: Vec::with_capacity(masters.max(banks)),
         }
     }
 
@@ -162,13 +168,16 @@ impl Tile {
     }
 
     /// Fixed-latency refill port: completes an in-flight refill and starts
-    /// the next queued one. (Ring mode drives refills from the cluster via
-    /// [`Tile::take_refill_request`] / [`Tile::complete_refill`] instead.)
-    pub fn refill_tick(&mut self, now: u64) {
+    /// the next queued one. Returns whether a refill completed. (Ring mode
+    /// drives refills from the cluster via [`Tile::take_refill_request`] /
+    /// [`Tile::complete_refill`] instead.)
+    pub fn refill_tick(&mut self, now: u64) -> bool {
+        let mut completed = false;
         if let Some((line, done_at)) = self.refill.in_flight {
             if done_at <= now {
                 self.complete_refill(line);
                 self.refill.in_flight = None;
+                completed = true;
             }
         }
         if self.refill.in_flight.is_none() {
@@ -176,6 +185,7 @@ impl Tile {
                 self.refill.in_flight = Some((line, now + u64::from(self.refill.latency)));
             }
         }
+        completed
     }
 
     /// The oldest miss waiting to enter the refill network (peek).
@@ -197,7 +207,7 @@ impl Tile {
     }
 
     /// One core's instruction fetch this cycle.
-    pub fn fetch(&mut self, pc: u32, image: &ProgramImage, _now: u64) -> Fetch {
+    pub fn fetch(&mut self, pc: u32, image: &ProgramImage) -> Fetch {
         let Some(instr) = image.at(pc) else {
             return Fetch::Fault;
         };
@@ -232,13 +242,13 @@ impl Tile {
         tile_index: usize,
         core_latches: &mut [Option<Request>],
         map: &AddressMap,
-        now: u64,
         gate: &dyn Fn(u32) -> BankGate,
         dropped: &mut u64,
     ) -> u64 {
         debug_assert_eq!(core_latches.len(), self.cores_per_tile);
-        let mut offers: Vec<Offer> = Vec::with_capacity(core_latches.len() + self.slave_req.len());
-        let mut sources: Vec<usize> = Vec::with_capacity(offers.capacity());
+        let (offers, sources) = (&mut self.offers, &mut self.sources);
+        offers.clear();
+        sources.clear();
         for (lane, latch) in core_latches.iter().enumerate() {
             if let Some(req) = latch {
                 let at = map.decode(req.addr).expect("request addresses are validated at issue");
@@ -267,7 +277,7 @@ impl Tile {
             return 0;
         }
         let bank_resp = &self.bank_resp;
-        let granted = self.req_fabric.resolve(&offers, &mut |bank| {
+        let granted = self.req_fabric.resolve(offers, &mut |bank| {
             match gate(bank as u32) {
                 BankGate::Ready => bank_resp[bank].can_push(),
                 BankGate::Stalled => false,
@@ -279,7 +289,7 @@ impl Tile {
             if !g {
                 continue;
             }
-            let src = sources[i];
+            let src = self.sources[i];
             let req = if src < cores {
                 core_latches[src].take().expect("granted offer had a request")
             } else {
@@ -291,8 +301,7 @@ impl Tile {
                 continue;
             }
             let response = bank_access(&mut self.banks[at.bank as usize], &req, at.row, at.byte);
-            let _ = now;
-            self.bank_resp[at.bank as usize].push(response);
+            self.bank_resp.push(at.bank as usize, response);
             accesses += 1;
         }
         accesses
@@ -308,9 +317,13 @@ impl Tile {
         deliveries: &mut Vec<Response>,
         port_for: &dyn Fn(&Response) -> usize,
     ) {
-        let mut offers: Vec<Offer> = Vec::new();
-        let mut which: Vec<usize> = Vec::new();
-        for (bank, reg) in self.bank_resp.iter().enumerate() {
+        if self.bank_resp.is_idle() {
+            return;
+        }
+        let (offers, sources) = (&mut self.offers, &mut self.sources);
+        offers.clear();
+        sources.clear();
+        for (bank, reg) in self.bank_resp.regs().iter().enumerate() {
             if let Some(resp) = reg.head() {
                 let core_tile = resp.core as usize / cores_per_tile;
                 let dest = if core_tile == tile_index {
@@ -319,14 +332,14 @@ impl Tile {
                     cores_per_tile + port_for(resp)
                 };
                 offers.push(Offer { input: bank, dest });
-                which.push(bank);
+                sources.push(bank);
             }
         }
         if offers.is_empty() {
             return;
         }
         let resp_out = &self.resp_out;
-        let granted = self.resp_fabric.resolve(&offers, &mut |port| {
+        let granted = self.resp_fabric.resolve(offers, &mut |port| {
             if port < cores_per_tile {
                 true // local cores always sink responses (LSU slot reserved)
             } else {
@@ -337,7 +350,7 @@ impl Tile {
             if !g {
                 continue;
             }
-            let resp = self.bank_resp[which[i]].pop().expect("head existed");
+            let resp = self.bank_resp.pop(self.sources[i]).expect("head existed");
             let core_tile = resp.core as usize / cores_per_tile;
             if core_tile == tile_index {
                 deliveries.push(resp);
@@ -349,20 +362,17 @@ impl Tile {
         }
     }
 
-    /// End-of-cycle commit of the tile's elastic registers.
+    /// End-of-cycle commit of the tile's elastic registers (only those
+    /// pushed this cycle).
     pub fn commit(&mut self) {
-        for reg in &mut self.bank_resp {
-            reg.commit();
-        }
+        self.bank_resp.commit();
     }
 
     /// Clears all transient state (latches, response registers, refill
     /// machinery) while keeping SPM contents and the warm I-cache — used by
     /// [`Cluster::reset`](crate::Cluster::reset) between program phases.
     pub fn clear_transient(&mut self) {
-        for reg in &mut self.bank_resp {
-            reg.clear();
-        }
+        self.bank_resp.edit(|regs| regs.iter_mut().for_each(ElasticBuffer::clear));
         self.slave_req.iter_mut().for_each(|l| *l = None);
         self.resp_out.iter_mut().for_each(|l| *l = None);
         self.refill.pending.clear();

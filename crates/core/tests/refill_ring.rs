@@ -71,3 +71,47 @@ fn ring_bandwidth_is_shared() {
     let cluster = run(cfg);
     assert!(cluster.stats().icache_refills >= 16 * 4);
 }
+
+/// Lifetime I-cache refills summed over the tiles' metric scopes.
+fn lifetime_refills(cluster: &Cluster<mempool_snitch::SnitchCore>) -> u64 {
+    let registry = cluster.metrics_registry();
+    (0..cluster.config().num_tiles)
+        .map(|t| {
+            registry
+                .counter(&format!("cluster/tile{t}"), "icache_refills")
+                .expect("every tile exports its refill counter")
+        })
+        .sum()
+}
+
+#[test]
+fn icache_refill_statistic_restarts_on_reset() {
+    // A second phase with more code than the first: the warm I-cache hits
+    // on the shared prefix and refills only the new lines.
+    let mut long = String::from("csrr a0, mhartid\n");
+    for i in 0..96 {
+        long.push_str(&format!("addi a0, a0, {}\n", i % 5));
+    }
+    long.push_str("ecall\n");
+    let phase2 = assemble(&long).unwrap();
+    for network in [RefillNetwork::Fixed, RefillNetwork::Ring { l2_latency: 10 }] {
+        let mut cfg = ClusterConfig::small(Topology::TopH);
+        cfg.icache.refill_network = network;
+        let mut cluster = run(cfg);
+        let before = cluster.stats().icache_refills;
+        assert!(before > 0, "{network:?}: phase 1 refilled nothing");
+        assert_eq!(before, lifetime_refills(&cluster), "{network:?}");
+
+        cluster.reset();
+        assert_eq!(cluster.stats().icache_refills, 0, "{network:?}: not restarted");
+        cluster.load_program(&phase2).unwrap();
+        cluster.run(1_000_000).unwrap();
+        let after = cluster.stats().icache_refills;
+        assert_eq!(
+            after,
+            lifetime_refills(&cluster) - before,
+            "{network:?}: must count only the refills since the reset"
+        );
+        assert!(after > 0, "{network:?}: phase 2 refilled nothing");
+    }
+}

@@ -96,7 +96,7 @@ fn roundtrip_is_bit_identical_under_active_fault_plan() {
                            link_corrupt=0.002,core_lockup=0.001,spurious_retire=0.001"
         .parse()
         .expect("valid spec");
-    for topology in [Topology::Top1, Topology::TopH] {
+    for topology in [Topology::Top1, Topology::Top4, Topology::TopH] {
         let config = resilient(topology);
         // Snapshot cycles straddle the scheduled bank failures and the
         // retry machinery's busiest window.

@@ -196,6 +196,143 @@ impl<T> ElasticBuffer<T> {
     }
 }
 
+/// A bank of [`ElasticBuffer`] registers that commits only what changed.
+///
+/// In most cycles most of a network's registers are idle. A `RegFile`
+/// records which registers took a push this cycle (the *dirty list*), so
+/// [`commit`](RegFile::commit) visits only those, and keeps the number of
+/// occupied slots as a counter, so [`occupied`](RegFile::occupied) is O(1).
+///
+/// Contents change through [`push`](RegFile::push) and
+/// [`pop`](RegFile::pop), which keep both up to date. Every other change —
+/// stall gates, fault drops and corruption, clears, checkpoint loads — goes
+/// through [`edit`](RegFile::edit), which rebuilds them afterwards.
+/// Committing only the dirty registers is exactly equivalent to committing
+/// every register, because a commit of a register without arrivals is a
+/// no-op.
+///
+/// # Examples
+///
+/// ```
+/// use mempool_noc::RegFile;
+///
+/// let mut row = RegFile::new(64, 2);
+/// row.push(5, 7u32);
+/// assert_eq!(row.occupied(), 1);
+/// assert_eq!(row[5].head(), None); // not visible until commit
+/// row.commit(); // touches register 5 only
+/// assert_eq!(row.pop(5), Some(7));
+/// assert!(row.is_idle());
+/// ```
+#[derive(Debug, Clone)]
+pub struct RegFile<T> {
+    regs: Vec<ElasticBuffer<T>>,
+    /// Registers holding staged arrivals, each listed once.
+    dirty: Vec<usize>,
+    /// Items stored or staged across all registers.
+    occupied: usize,
+    /// Slots across all registers.
+    slots: usize,
+}
+
+impl<T> RegFile<T> {
+    /// Creates `count` empty registers of `capacity` slots each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(count: usize, capacity: usize) -> Self {
+        RegFile {
+            regs: (0..count).map(|_| ElasticBuffer::new(capacity)).collect(),
+            dirty: Vec::new(),
+            occupied: 0,
+            slots: count * capacity,
+        }
+    }
+
+    /// The registers, in index order.
+    pub fn regs(&self) -> &[ElasticBuffer<T>] {
+        &self.regs
+    }
+
+    /// Items stored or staged across all registers (the sum of every
+    /// register's [`len`](ElasticBuffer::len)).
+    pub fn occupied(&self) -> usize {
+        self.occupied
+    }
+
+    /// Slots across all registers (the sum of their capacities).
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// Whether no register holds an item, stored or staged.
+    pub fn is_idle(&self) -> bool {
+        self.occupied == 0
+    }
+
+    /// Stages `item` into register `index` (see [`ElasticBuffer::push`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range or the register cannot take a
+    /// push.
+    pub fn push(&mut self, index: usize, item: T) {
+        let reg = &mut self.regs[index];
+        reg.push(item);
+        if reg.arrivals.len() == 1 {
+            self.dirty.push(index);
+        }
+        self.occupied += 1;
+    }
+
+    /// Pops the visible head of register `index` (see
+    /// [`ElasticBuffer::pop`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn pop(&mut self, index: usize) -> Option<T> {
+        let item = self.regs[index].pop();
+        if item.is_some() {
+            self.occupied -= 1;
+        }
+        item
+    }
+
+    /// End-of-cycle commit of the registers pushed since the last commit.
+    pub fn commit(&mut self) {
+        for index in self.dirty.drain(..) {
+            self.regs[index].commit();
+        }
+    }
+
+    /// Runs `f` over all registers for a change outside push and pop, then
+    /// rebuilds the occupancy counter and the dirty list from what `f`
+    /// left behind.
+    pub fn edit<R>(&mut self, f: impl FnOnce(&mut [ElasticBuffer<T>]) -> R) -> R {
+        let out = f(&mut self.regs);
+        self.occupied = self.regs.iter().map(ElasticBuffer::len).sum();
+        self.dirty.clear();
+        self.dirty.extend(
+            self.regs
+                .iter()
+                .enumerate()
+                .filter(|(_, reg)| !reg.arrivals.is_empty())
+                .map(|(index, _)| index),
+        );
+        out
+    }
+}
+
+impl<T> std::ops::Index<usize> for RegFile<T> {
+    type Output = ElasticBuffer<T>;
+
+    fn index(&self, index: usize) -> &ElasticBuffer<T> {
+        &self.regs[index]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

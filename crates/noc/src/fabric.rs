@@ -84,9 +84,14 @@ pub struct Fabric {
     paths: Vec<Vec<Hop>>,
     /// `arbiters[layer][out_port]`.
     arbiters: Vec<Vec<RoundRobin>>,
-    /// Scratch: contenders per (layer-local) out port, reused across calls.
+    /// Scratch, reused across calls: contenders per (layer-local) out port,
+    /// the out ports touched this layer, one contested port's requesting
+    /// inputs, and the per-offer grants of the last
+    /// [`resolve`](Fabric::resolve).
     scratch_contenders: Vec<Vec<(usize, u32)>>,
     scratch_touched: Vec<u32>,
+    scratch_requests: Vec<usize>,
+    granted: Vec<bool>,
     /// Interior butterfly segments land on the *shuffled* final out port
     /// (the next layer's input row); see [`Fabric::butterfly_segment`].
     shuffled_terminal: bool,
@@ -206,6 +211,8 @@ impl Fabric {
             arbiters,
             scratch_contenders: (0..max_outs).map(|_| Vec::new()).collect(),
             scratch_touched: Vec::new(),
+            scratch_requests: Vec::new(),
+            granted: Vec::new(),
             shuffled_terminal: false,
             radix: 0,
         }
@@ -257,12 +264,16 @@ impl Fabric {
     /// Each offer either wins arbitration at *every* switch output along its
     /// path **and** finds its terminal ready (via `out_ready`, called with
     /// the landing port from [`output_port`](Fabric::output_port)) — in
-    /// which case its slot in the returned vector is `true` and the caller
+    /// which case its slot in the returned slice is `true` and the caller
     /// must move the packet — or it stays put (`false`). Losing at an
     /// internal switch blocks the packet even if the winner itself later
     /// stalls, matching non-reselecting combinational arbitration.
     ///
-    /// Round-robin pointers advance only on committed transfers.
+    /// Round-robin pointers advance only on committed transfers. The grants
+    /// live in scratch the fabric reuses, so a release-build call does not
+    /// allocate once the scratch has grown; [`granted`](Fabric::granted)
+    /// reads them again for callers that also need
+    /// [`output_port`](Fabric::output_port).
     ///
     /// # Panics
     ///
@@ -272,8 +283,9 @@ impl Fabric {
         &mut self,
         offers: &[Offer],
         out_ready: &mut dyn FnMut(usize) -> bool,
-    ) -> Vec<bool> {
-        let mut alive = vec![true; offers.len()];
+    ) -> &[bool] {
+        self.granted.clear();
+        self.granted.resize(offers.len(), true);
         debug_assert!(
             {
                 let mut seen = vec![false; self.n_in];
@@ -284,7 +296,7 @@ impl Fabric {
         for layer in 0..self.n_layers {
             self.scratch_touched.clear();
             for (idx, offer) in offers.iter().enumerate() {
-                if !alive[idx] {
+                if !self.granted[idx] {
                     continue;
                 }
                 let hop = self.paths[offer.input * self.n_out + offer.dest][layer];
@@ -299,14 +311,15 @@ impl Fabric {
                 let port = self.scratch_touched[t] as usize;
                 let contenders = &mut self.scratch_contenders[port];
                 if contenders.len() > 1 {
-                    let requests: Vec<usize> =
-                        contenders.iter().map(|&(_, inp)| inp as usize).collect();
+                    let requests = &mut self.scratch_requests;
+                    requests.clear();
+                    requests.extend(contenders.iter().map(|&(_, inp)| inp as usize));
                     let winner_in = self.arbiters[layer][port]
-                        .peek(&requests)
+                        .peek(requests)
                         .expect("nonempty contenders");
                     for &(idx, inp) in contenders.iter() {
                         if inp as usize != winner_in {
-                            alive[idx] = false;
+                            self.granted[idx] = false;
                         }
                     }
                 }
@@ -315,17 +328,13 @@ impl Fabric {
         }
         // Terminal readiness.
         for (idx, offer) in offers.iter().enumerate() {
-            if !alive[idx] {
-                continue;
-            }
-            let landing = self.output_port(offer.input, offer.dest);
-            if !out_ready(landing) {
-                alive[idx] = false;
+            if self.granted[idx] && !out_ready(self.output_port(offer.input, offer.dest)) {
+                self.granted[idx] = false;
             }
         }
         // Advance round-robin pointers for committed packets.
         for (idx, offer) in offers.iter().enumerate() {
-            if !alive[idx] {
+            if !self.granted[idx] {
                 continue;
             }
             for hop in &self.paths[offer.input * self.n_out + offer.dest] {
@@ -333,7 +342,13 @@ impl Fabric {
                     .advance_past(hop.in_port as usize);
             }
         }
-        alive
+        &self.granted
+    }
+
+    /// The per-offer grants of the last [`resolve`](Fabric::resolve), in
+    /// offer order.
+    pub fn granted(&self) -> &[bool] {
+        &self.granted
     }
 
     /// The round-robin pointer of every arbiter, flattened layer-by-layer

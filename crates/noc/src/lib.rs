@@ -12,15 +12,18 @@
 //!
 //! # Cycle discipline
 //!
-//! Packets rest in [`ElasticBuffer`] register stages. Each cycle, the owner
-//! of a network presents the buffer heads (plus any freshly generated
-//! packets) to a [`Fabric`] as [`Offer`]s; `Fabric::resolve` applies
-//! round-robin arbitration at every switch output and terminal readiness,
-//! and tells the caller which packets move this cycle. Buffers make staged
-//! arrivals visible only at the end-of-cycle [`ElasticBuffer::commit`], so a
-//! packet crosses exactly one register boundary per cycle — which is what
-//! makes the zero-load latencies of the paper (1/3/5 cycles) drop out of the
-//! structure instead of being hard-coded.
+//! Packets rest in [`ElasticBuffer`] register stages, grouped into
+//! [`RegFile`]s that commit only the registers pushed this cycle and count
+//! their occupied slots. Each cycle, the owner of a network presents the
+//! buffer heads (plus any freshly generated packets) to a [`Fabric`] as
+//! [`Offer`]s; `Fabric::resolve` applies round-robin arbitration at every
+//! switch output and terminal readiness, and tells the caller which packets
+//! move this cycle (from scratch it reuses, so a release build does not
+//! allocate). Buffers make staged arrivals visible only at the end-of-cycle
+//! [`ElasticBuffer::commit`], so a packet crosses exactly one register
+//! boundary per cycle — which is what makes the zero-load latencies of the
+//! paper (1/3/5 cycles) drop out of the structure instead of being
+//! hard-coded.
 //!
 //! # Examples
 //!
@@ -28,11 +31,11 @@
 //! global interconnect):
 //!
 //! ```
-//! use mempool_noc::{ElasticBuffer, Fabric, Offer};
+//! use mempool_noc::{Fabric, Offer, RegFile};
 //!
 //! let mut stage_a = Fabric::butterfly_segment(64, 4, 0, 2)?;
 //! let stage_b = Fabric::butterfly_segment(64, 4, 2, 3)?;
-//! let mut mid: Vec<ElasticBuffer<u32>> = (0..64).map(|_| ElasticBuffer::new(2)).collect();
+//! let mut mid: RegFile<u32> = RegFile::new(64, 2);
 //!
 //! // Cycle t: a packet at input 5 destined for output 42 wins stage A and
 //! // lands in the mid-stage register row.
@@ -40,8 +43,8 @@
 //! let granted = stage_a.resolve(&offers, &mut |port| mid[port].can_push());
 //! assert!(granted[0]);
 //! let landing = stage_a.output_port(5, 42);
-//! mid[landing].push(42);
-//! mid.iter_mut().for_each(ElasticBuffer::commit);
+//! mid.push(landing, 42);
+//! mid.commit();
 //!
 //! // Cycle t+1: the register head continues through stage B to output 42.
 //! assert_eq!(stage_b.output_port(landing, 42), 42);
@@ -56,6 +59,6 @@ mod fabric;
 mod ring;
 
 pub use arbiter::RoundRobin;
-pub use elastic::ElasticBuffer;
+pub use elastic::{ElasticBuffer, RegFile};
 pub use fabric::{BuildFabricError, Fabric, Hop, Offer};
 pub use ring::Ring;

@@ -1,7 +1,7 @@
 //! Property tests for the interconnect substrate, driven by a seeded PRNG
 //! so every case is deterministic and replayable from its iteration index.
 
-use mempool_noc::{ElasticBuffer, Fabric, Offer};
+use mempool_noc::{ElasticBuffer, Fabric, Offer, RegFile};
 use mempool_rng::{Rng, SeedableRng, StdRng};
 
 /// An elastic buffer is a FIFO: any interleaving of pushes/pops/commits
@@ -37,6 +37,82 @@ fn elastic_buffer_is_fifo() {
     }
 }
 
+/// A register file that commits only its dirty registers behaves exactly
+/// like a plain row of elastic buffers that commits every register, under
+/// any interleaving of pushes, pops, commits and out-of-band edits (stall
+/// gates, fault drops, clears and checkpoint loads with staged arrivals).
+/// After every step its occupancy counter equals the summed lengths.
+#[test]
+fn reg_file_matches_a_fully_committed_row() {
+    const REGS: usize = 8;
+    for case in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(0x4e6f_11e0 ^ case);
+        let capacity = rng.gen_range(1usize..4);
+        let mut file: RegFile<u32> = RegFile::new(REGS, capacity);
+        let mut model: Vec<ElasticBuffer<u32>> =
+            (0..REGS).map(|_| ElasticBuffer::new(capacity)).collect();
+        let mut next = 0u32;
+        for step in 0..rng.gen_range(1usize..400) {
+            let i = rng.gen_range(0..REGS);
+            match rng.gen_range(0u8..8) {
+                0 | 1 => {
+                    assert_eq!(file[i].can_push(), model[i].can_push(), "case {case} step {step}");
+                    if model[i].can_push() {
+                        file.push(i, next);
+                        model[i].push(next);
+                        next += 1;
+                    }
+                }
+                2 | 3 => assert_eq!(file.pop(i), model[i].pop(), "case {case} step {step}"),
+                4 => {
+                    file.commit();
+                    model.iter_mut().for_each(ElasticBuffer::commit);
+                }
+                5 => {
+                    let stalled = rng.gen::<bool>();
+                    file.edit(|regs| regs[i].set_stalled(stalled));
+                    model[i].set_stalled(stalled);
+                }
+                6 => {
+                    if rng.gen::<bool>() {
+                        let dropped = file.edit(|regs| regs[i].drop_head());
+                        assert_eq!(dropped, model[i].drop_head(), "case {case} step {step}");
+                    } else {
+                        file.edit(|regs| regs[i].clear());
+                        model[i].clear();
+                    }
+                }
+                _ => {
+                    let stored_n = rng.gen_range(0..capacity + 1);
+                    let arrivals_n = rng.gen_range(0..capacity - stored_n + 1);
+                    let stored: Vec<u32> = (next..next + stored_n as u32).collect();
+                    next += stored_n as u32;
+                    let arrivals: Vec<u32> = (next..next + arrivals_n as u32).collect();
+                    next += arrivals_n as u32;
+                    let stalled = rng.gen::<bool>();
+                    file.edit(|regs| regs[i].load(stored.clone(), arrivals.clone(), stalled));
+                    model[i].load(stored, arrivals, stalled);
+                }
+            }
+            let lens: usize = file.regs().iter().map(ElasticBuffer::len).sum();
+            assert_eq!(file.occupied(), lens, "case {case} step {step}: counter drifted");
+            assert_eq!(file.is_idle(), lens == 0, "case {case} step {step}");
+            assert_eq!(file.slots(), REGS * capacity);
+            for (r, (got, want)) in file.regs().iter().zip(&model).enumerate() {
+                let at = format!("case {case} step {step} reg {r}");
+                assert_eq!(got.head(), want.head(), "{at}: head");
+                assert_eq!(got.is_stalled(), want.is_stalled(), "{at}: stall gate");
+                assert_eq!(got.pushes(), want.pushes(), "{at}: push counter");
+                assert!(got.iter().eq(want.iter()), "{at}: stored items");
+                assert!(
+                    got.iter_arrivals().eq(want.iter_arrivals()),
+                    "{at}: staged arrivals"
+                );
+            }
+        }
+    }
+}
+
 /// Fabric conservation: over any random offered pattern, each committed
 /// packet lands on its own output port and no two committed packets share
 /// an output.
@@ -54,9 +130,9 @@ fn fabric_grants_are_conflict_free() {
                 });
             }
         }
-        let granted = net.resolve(&offers, &mut |_| true);
+        net.resolve(&offers, &mut |_| true);
         let mut used = [false; 64];
-        for (offer, &g) in offers.iter().zip(&granted) {
+        for (offer, &g) in offers.iter().zip(net.granted()) {
             if g {
                 let port = net.output_port(offer.input, offer.dest);
                 assert_eq!(port, offer.dest, "case {case}");
@@ -131,7 +207,7 @@ fn hot_spot_fairness() {
     let offers: Vec<Offer> = (0..16).map(|input| Offer { input, dest: 3 }).collect();
     for _ in 0..160 {
         let granted = net.resolve(&offers, &mut |_| true);
-        for (o, g) in offers.iter().zip(&granted) {
+        for (o, g) in offers.iter().zip(granted) {
             if *g {
                 wins[o.input] += 1;
             }

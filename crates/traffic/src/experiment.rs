@@ -119,7 +119,6 @@ fn run_point_inner(
     let map = config.address_map()?;
     let scrambler = config.scrambler()?;
     let l1_bytes = map.size_bytes() as u32;
-    let cores_per_tile = config.cores_per_tile;
     let mut cluster = Cluster::new(config, |loc| {
         let (seq_base, seq_bytes, seq_total) = match scrambler {
             Some(s) => (
@@ -129,7 +128,6 @@ fn run_point_inner(
             ),
             None => (0, 0, 0),
         };
-        let _ = cores_per_tile;
         TrafficGen::new(
             load,
             pattern,

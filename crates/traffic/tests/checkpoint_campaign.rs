@@ -2,11 +2,11 @@
 //! middle of) trials and restarted from its manifest produces the identical
 //! aggregate report an uninterrupted run would have, mid-trial checkpoints
 //! resume bit-identically, and traffic-driven clusters digest/roundtrip
-//! deterministically.
+//! deterministically, including mid-run on a saturated 256-core network.
 
 use mempool_traffic::{
     run_campaign, run_campaign_resumable, run_trial, run_trial_checkpointed, trial_cluster,
-    CampaignConfig, TrialCheckpoint, TrialPhase, Windows,
+    AddressSpace, CampaignConfig, Pattern, TrafficGen, TrialCheckpoint, TrialPhase, Windows,
 };
 use mempool::{ClusterConfig, Topology};
 use std::path::PathBuf;
@@ -169,4 +169,62 @@ fn traffic_digest_is_stable_across_identical_runs() {
         digests
     };
     assert_eq!(run(), run());
+}
+
+/// A full-size (256-core) cluster of uniform generators at λ = 0.33, the
+/// paper's headline load, with per-core seeds offset by `seed`.
+fn busy_cluster(topology: Topology, seed: u64) -> mempool::Cluster<TrafficGen> {
+    let cfg = ClusterConfig::paper(topology);
+    let l1_bytes = cfg.address_map().expect("valid geometry").size_bytes() as u32;
+    mempool::Cluster::new(cfg, |loc| {
+        TrafficGen::new(
+            0.33,
+            Pattern::Uniform,
+            AddressSpace {
+                l1_bytes,
+                seq_base: 0,
+                seq_bytes: 0,
+                seq_total: 0,
+                tile: loc.tile as u32,
+                num_tiles: cfg.num_tiles as u32,
+                banks_per_tile: cfg.banks_per_tile as u32,
+            },
+            64,
+            seed + loc.core as u64,
+        )
+    })
+    .expect("valid config")
+}
+
+/// A checkpoint taken while the global network is saturated restores every
+/// register's stored items, staged arrivals and occupancy: the restored
+/// cluster runs on bit-identically and reports the same mean occupancy.
+#[test]
+fn saturated_network_checkpoint_restores_bit_identically() {
+    const MID: u64 = 600;
+    const TOTAL: u64 = 1_500;
+    for topology in [Topology::Top4, Topology::TopH] {
+        let mut original = busy_cluster(topology, 1);
+        original.step_cycles(MID);
+        let registry = original.metrics_registry();
+        let occupied = registry.counter("cluster", "net_occupancy").expect("exported");
+        let slots = registry.counter("cluster", "net_register_slots").expect("exported");
+        assert!(
+            occupied * 10 > slots,
+            "{topology}: network not busy at the checkpoint ({occupied}/{slots} slots)"
+        );
+        let snap = original.snapshot();
+
+        let mut restored = busy_cluster(topology, 9_000);
+        restored.restore(&snap).expect("snapshot restores");
+        original.step_cycles(TOTAL - MID);
+        restored.step_cycles(TOTAL - MID);
+
+        assert_eq!(restored.state_digest(), original.state_digest(), "{topology}");
+        assert_eq!(
+            restored.stats().net_occupancy(),
+            original.stats().net_occupancy(),
+            "{topology}"
+        );
+    }
 }

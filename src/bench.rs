@@ -269,6 +269,32 @@ mod tests {
         assert_eq!(full.points.len(), 3);
     }
 
+    /// The 256-core points of `mempool-run bench --cores 256 --cycles 1000`
+    /// land on pinned digests, so a behaviour change at full size fails
+    /// here and not only in the CI bench job.
+    #[test]
+    fn full_size_digests_are_pinned() {
+        let config = BenchConfig {
+            cycles: 1_000,
+            core_counts: vec![256],
+            ..BenchConfig::default()
+        };
+        let report = run_bench(&config).expect("bench runs");
+        let digests: Vec<(Topology, u64)> = report
+            .points
+            .iter()
+            .map(|p| (p.topology, p.state_digest))
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                (Topology::Ideal, 0x730d_b065_7765_a44d),
+                (Topology::Top4, 0xd6b6_35fe_7b45_8e36),
+                (Topology::TopH, 0xcd03_cdaa_2177_a10e),
+            ]
+        );
+    }
+
     #[test]
     fn unsupported_size_is_a_typed_error() {
         let err = bench_cluster_config(Topology::TopH, 12).expect_err("12 cores unsupported");
